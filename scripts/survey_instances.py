@@ -6,24 +6,21 @@ Usage: python3 scripts/survey_instances.py [extra-instance-files...]
 
 import sys
 
-from hatkit import alternating, quotients
-from hatkit.graphcore import certify_hat
 from hatkit.harness import GridConfig, instance_pool
-from hatkit.perm import group_structure
 
 
 def main():
     cfg = GridConfig(extra_files=tuple(sys.argv[1:]))
     print(f"{'instance':22} {'n':>4} {'r':>3} {'a':>3} {'Q':>8} "
           f"{'kind':>10} {'case':>4} {'kernel':>14}")
-    for key, g, grp in instance_pool(cfg):
-        cert = certify_hat(g, grp)
-        s = alternating.analyze(cert.orientation)
-        ks = quotients.kernels(g, grp, s)
-        case = quotients.classify_kernel(s, ks["K_alt"])
-        print(f"{key:22} {g.n:>4} {s.radius:>3} {s.attachment:>3} "
+    for key, rec in instance_pool(cfg):
+        if isinstance(rec, Exception):
+            print(f"{key:22} error: {type(rec).__name__}: {rec}")
+            continue
+        s = rec.structure
+        print(f"{key:22} {rec.graph.n:>4} {s.radius:>3} {s.attachment:>3} "
               f"{str(sorted(s.Q)):>8} {s.attachment_kind:>10} "
-              f"{case.case:>4} {str(group_structure(ks['K_alt'])):>14}")
+              f"{rec.kernel_case.case:>4} {str(rec.tags['K_alt']):>14}")
 
 
 if __name__ == "__main__":

@@ -122,12 +122,6 @@ class AltStructure:
             return "antipodal"
         return "other"
 
-    def attachment_set_of(self, v: int) -> frozenset:
-        for s in self.attachment_sets:
-            if v in s:
-                return s
-        raise KeyError(v)
-
     def summary(self) -> dict:
         return {
             "n": self.n,
@@ -200,12 +194,12 @@ def _jump_at(og: OrientedGraph, cycles, incidence, tail_cycle, v, ell, a):
     return q_t, q_h
 
 
-def analyze(og: OrientedGraph, check_vertices: int = 3) -> AltStructure:
+def analyze(og: OrientedGraph) -> AltStructure:
     """Full alternating-cycle analysis of an oriented graph.
 
     Verifies the structural invariants the theory presupposes (equal cycle
     lengths, attachment sets at positions i*ell, base-vertex independence of
-    the jump pair at sampled vertices) and raises diagnostics otherwise.
+    the jump pair at every vertex) and raises diagnostics otherwise.
     """
     cycles = alternating_cycles(og)
     lengths = {len(c) for c in cycles}
@@ -259,11 +253,9 @@ def analyze(og: OrientedGraph, check_vertices: int = 3) -> AltStructure:
             raise AlternatingStructureError("attachment sets overlap")
         covered |= s
 
-    base = min(incidence)
-    q_t, q_h = _jump_at(og, cycles, incidence, tail_cycle, base, ell, a)
     vertices = sorted(incidence)
-    step = max(1, len(vertices) // (check_vertices + 1))
-    for v in vertices[step::step][:check_vertices]:
+    q_t, q_h = _jump_at(og, cycles, incidence, tail_cycle, vertices[0], ell, a)
+    for v in vertices[1:]:
         if _jump_at(og, cycles, incidence, tail_cycle, v, ell, a) != (q_t, q_h):
             raise AlternatingStructureError(
                 f"jump parameters differ at vertex {v}")
@@ -277,23 +269,6 @@ def min_r_jump(q: int, r: int) -> int:
     """min over {q, -q, q^-1, -q^-1} reduced into {0..r-1}."""
     qinv = pow(q, -1, r)
     return min(q % r, (-q) % r, qinv, (-qinv) % r)
-
-
-def verify_gta_jump(params) -> bool:
-    """Check that a tightly attached family member's alternating jump equals
-    the minimum of {+-q, +-q^-1} mod r."""
-    from .constructions import XeParams, XoParams, build_xe, build_xo
-    from .graphcore import certify_hat
-
-    if isinstance(params, XoParams):
-        graph, group = build_xo(params)
-    elif isinstance(params, XeParams):
-        graph, group = build_xe(params)
-    else:
-        raise TypeError(f"expected XoParams or XeParams, got {type(params)}")
-    cert = certify_hat(graph, group)
-    s = analyze(cert.orientation)
-    return s.jum == min_r_jump(params.q, params.r)
 
 
 def associated_circulant(s: AltStructure) -> Graph:

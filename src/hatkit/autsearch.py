@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import SearchBudgetExceededError
-from .graphcore import Graph, certify_hat, is_automorphism
+from .graphcore import Graph, arc_act, is_automorphism
 from .perm import GroupByGenerators, Permutation
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -198,21 +198,13 @@ def are_isomorphic(g1: Graph, g2: Graph,
 
 def is_arc_transitive(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """True iff the full automorphism group has a single orbit on arcs."""
-    aut = automorphism_group(g, budget)
-    base = min(g.arcs)
-    orbit = aut.orbit(base, lambda a, p: (p(a[0]), p(a[1])))
-    return len(orbit) == len(g.arcs)
+    return automorphism_group(g, budget).is_transitive(g.arcs, arc_act)
 
 
-def has_orbit_swapper(g: Graph, group: GroupByGenerators,
-                      budget: int = DEFAULT_NODE_BUDGET) -> bool:
-    """For a half-arc-transitive pair: does some full automorphism exchange
-    the two paired arc orbits?"""
-    cert = certify_hat(g, group)
-    arcs = cert.orientation.arc_set
+def has_orbit_swapper(arcs: frozenset, aut: GroupByGenerators) -> bool:
+    """For the arc set of a half-arc-transitive orientation: does some
+    element of ``aut`` map it onto its reverse, exchanging the two paired
+    arc orbits?"""
     reversed_arcs = frozenset((h, t) for t, h in arcs)
-    aut = automorphism_group(g, budget)
-    for p in aut.elements():
-        if frozenset((p(t), p(h)) for t, h in arcs) == reversed_arcs:
-            return True
-    return False
+    return any(frozenset((p(t), p(h)) for t, h in arcs) == reversed_arcs
+               for p in aut.elements())

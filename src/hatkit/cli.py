@@ -19,7 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import alternating, autsearch, harness, quotients
+from . import autsearch, harness, quotients
 from .constructions import (
     XeParams,
     XoParams,
@@ -42,8 +42,7 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .fileio import bundle_to_json, format_edgelist, to_dot
-from .graphcore import certify_hat
-from .perm import group_structure
+from .graphcore import arc_act
 
 _EXIT_CODES = (
     ((ParseError, ValueError), 2),
@@ -119,36 +118,29 @@ def cmd_analyze(args):
     _emit(report, args)
 
 
-def cmd_quotient(args):
-    g, grp, _params = parse_instance(args.spec)
+def _record(spec: str, what: str) -> quotients.Analysis:
+    g, grp, _params = parse_instance(spec)
     if grp is None:
-        raise ParseError("quotient analysis needs a group-carrying instance")
-    _emit(quotients.thm_pipeline(g, grp), args)
+        raise ParseError(f"{what} analysis needs a group-carrying instance")
+    return quotients.Analysis(g, grp)
+
+
+def cmd_quotient(args):
+    _emit(_record(args.spec, "quotient").pipeline, args)
 
 
 def cmd_altgraph(args):
-    g, grp, _params = parse_instance(args.spec)
-    if grp is None:
-        raise ParseError("alternating analysis needs a group-carrying instance")
-    cert = certify_hat(g, grp)
-    s = alternating.analyze(cert.orientation)
-    _emit_graph(quotients.alt_graph(s), args)
+    rec = _record(args.spec, "alternating")
+    _emit_graph(quotients.alt_graph(rec.structure), args)
 
 
 def cmd_kernels(args):
-    g, grp, _params = parse_instance(args.spec)
-    if grp is None:
-        raise ParseError("kernel analysis needs a group-carrying instance")
-    cert = certify_hat(g, grp)
-    s = alternating.analyze(cert.orientation)
-    ks = quotients.kernels(g, grp, s)
-    case = quotients.classify_kernel(s, ks["K_alt"])
+    rec = _record(args.spec, "kernel")
     _emit({
-        "orders": {k: v.order() for k, v in ks.items()},
-        "structures": {k: str(group_structure(v)) for k, v in ks.items()},
-        "equal": (ks["K_alt"].elements() == ks["K_B"].elements()
-                  == ks["K_A"].elements()),
-        "case": case.case,
+        "orders": {k: v.order() for k, v in rec.kernels.items()},
+        "structures": {k: str(tag) for k, tag in rec.tags.items()},
+        "equal": rec.kernels_equal,
+        "case": rec.kernel_case.case,
     }, args)
 
 
@@ -168,27 +160,23 @@ def cmd_aut(args):
     _emit({
         "order": aut.order(),
         "generators": [list(p.images) for p in aut.generators],
-        "arc_transitive": autsearch.is_arc_transitive(g),
+        "arc_transitive": aut.is_transitive(g.arcs, arc_act),
     }, args)
 
 
 def cmd_verify(args):
     cfg = harness.GridConfig(extra_files=tuple(args.ingest or ()))
-    names = args.suites or list(harness.SUITE_NAMES)
-    docs = []
-    all_ok = True
-    for name in names:
-        report = harness.run_suite(name, cfg)
-        docs.append(report.to_json())
-        all_ok = all_ok and report.passed
+    reports = harness.run_suites(args.suites or harness.SUITE_NAMES, cfg)
+    for report in reports:
         counts = report.counts()
-        print(f"{name}: {'PASS' if report.passed else 'FAIL'} "
+        print(f"{report.suite}: {'PASS' if report.passed else 'FAIL'} "
               f"({counts['pass']} pass, {counts['fail']} fail, "
               f"{counts['skip']} skip, {counts['error']} error, "
               f"{report.wall_time:.1f}s)", file=sys.stderr)
     if args.output:
-        Path(args.output).write_text(json.dumps(docs, indent=2, sort_keys=True))
-    if not all_ok:
+        Path(args.output).write_text(json.dumps(
+            [r.to_json() for r in reports], indent=2, sort_keys=True))
+    if not all(r.passed for r in reports):
         sys.exit(1)
 
 

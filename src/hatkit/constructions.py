@@ -20,7 +20,7 @@ from .errors import (
     NoSolutionError,
     NotInverseClosedError,
 )
-from .graphcore import Graph, build_graph, certify_hat, is_automorphism
+from .graphcore import Graph, build_graph, is_automorphism
 from .perm import GroupByGenerators, Permutation
 
 
@@ -216,14 +216,6 @@ def wreath_hat_group(n: int) -> GroupByGenerators:
 
     gens = [Permutation.from_mapping(2 * n, f) for f in (rot, swap0)]
     return _verify_generators(graph, gens, f"wreath({n})")
-
-
-def build_wreath_certified(n: int):
-    """Wreath graph plus its radius-2 group, certified."""
-    graph = build_wreath(n)
-    group = wreath_hat_group(n)
-    certify_hat(graph, group)
-    return graph, group
 
 
 def build_cubic_arc_graph(delta: Graph, delta_group: GroupByGenerators):

@@ -212,14 +212,6 @@ class HatCertificate:
 
     group: GroupByGenerators = field(compare=False)
     orientation: OrientedGraph = field(compare=False)
-    vertex_transitive: bool = True
-    edge_transitive: bool = True
-    arc_transitive: bool = False
-
-    @property
-    def valid(self) -> bool:
-        return (self.vertex_transitive and self.edge_transitive
-                and not self.arc_transitive)
 
 
 def certify_hat(graph: Graph, group: GroupByGenerators) -> HatCertificate:

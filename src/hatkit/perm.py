@@ -199,17 +199,6 @@ def setwise_action(s: frozenset, p: Permutation) -> frozenset:
     return frozenset(p(x) for x in s)
 
 
-def is_semiregular(g: GroupByGenerators, points: Iterable) -> bool:
-    """True iff only the identity fixes any of the given points."""
-    pts = list(points)
-    for p in g.elements():
-        if p.is_identity():
-            continue
-        if any(p(x) == x for x in pts):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class StructureTag:
     """Recognition result for the three group shapes the classification

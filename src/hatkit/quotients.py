@@ -1,13 +1,14 @@
 """Block systems over the attachment structure, quotient graphs, the
 alternating-cycle graph, the three setwise-fixing kernels and their
-structural classification, induced quotient actions, and the cycle-level
+structural classification, induced quotient actions, the cycle-level
 isomorphism between the alternating-cycle graphs of a graph and of its
-quotient.
+quotient, and the per-instance analysis record that chains them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional
 
 from .alternating import AltStructure, analyze, antipodal_tau
@@ -17,7 +18,7 @@ from .errors import (
     PreconditionFailedError,
     TooFewCyclesError,
 )
-from .graphcore import Graph, build_graph, certify_hat, edge_key
+from .graphcore import Graph, OrientedGraph, build_graph, certify_hat, edge_key
 from .perm import (
     GroupByGenerators,
     Permutation,
@@ -168,8 +169,8 @@ def _is_cyclic_of(tag: StructureTag, k: int) -> bool:
     return tag.kind == "Cyclic" and tag.param == k
 
 
-def classify_kernel(s: AltStructure, K: GroupByGenerators) -> KernelCase:
-    """Match the kernel against the five-case structure table:
+def classify_kernel(s: AltStructure, tag: StructureTag) -> KernelCase:
+    """Match the kernel's recognised structure against the five-case table:
 
     (i)   a = 2r       -> dihedral of order 2r
     (ii)  a = r = 2    -> subgroup of an elementary abelian 2-group
@@ -181,7 +182,6 @@ def classify_kernel(s: AltStructure, K: GroupByGenerators) -> KernelCase:
     that signals a bug or an invalid input, never a new mathematical fact.
     """
     a, r = s.attachment, s.radius
-    tag = group_structure(K)
     if a == 2 * r:
         case, expected = "i", f"Dihedral({2 * r})"
         ok = (tag.kind == "Dihedral" and tag.param == 2 * r) or \
@@ -202,7 +202,7 @@ def classify_kernel(s: AltStructure, K: GroupByGenerators) -> KernelCase:
     if not ok:
         raise InconsistentError(
             {"case": case, "expected": expected, "observed": str(tag),
-             "r": r, "a": a, "order": K.order()})
+             "r": r, "a": a, "order": tag.order})
     return KernelCase(case=case, expected=expected, observed=tag,
                       consistent=True)
 
@@ -272,7 +272,7 @@ def psi_isomorphism(s: AltStructure, b: BlockSystem,
     return mapping
 
 
-def thm_pipeline(g: Graph, group: GroupByGenerators) -> dict:
+def thm_pipeline(rec: Analysis) -> dict:
     """End-to-end quotient reduction for a half-arc-transitive pair.
 
     Outcome "tight": a = r, no further reduction.  Outcome "quotient":
@@ -282,21 +282,21 @@ def thm_pipeline(g: Graph, group: GroupByGenerators) -> dict:
     pair that is loosely (a | r) or antipodally (a ∤ r) attached.
 
     For even radius with a = 2, the group is first extended by the
-    antipodal automorphism when that exists outside the group.
+    antipodal automorphism when that exists outside the group.  The
+    record's certificate, structure and block kernel are reused; only the
+    extended group and the quotient are certified and analysed afresh.
     """
-    cert = certify_hat(g, group)
-    s = analyze(cert.orientation)
+    s = rec.structure
     if s.attachment == 2 * s.radius:
         raise PreconditionFailedError(
             "the two-cycle degenerate case admits no quotient reduction")
 
     extended = False
     if s.radius % 2 == 0 and s.attachment == 2:
-        tau = antipodal_tau(cert.orientation, s)
-        if tau is not None and tau not in group:
-            group = group.with_extra_generator(tau)
-            cert = certify_hat(g, group)
-            s = analyze(cert.orientation)
+        tau = antipodal_tau(rec.orientation, s)
+        if tau is not None and tau not in rec.group:
+            rec = Analysis(rec.graph, rec.group.with_extra_generator(tau))
+            s = rec.structure
             extended = True
 
     report = {"r": s.radius, "a": s.attachment, "ell": s.ell,
@@ -306,12 +306,12 @@ def thm_pipeline(g: Graph, group: GroupByGenerators) -> dict:
         return report
 
     b = construction_b(s)
-    k_b = action_kernel(group, b.blocks, setwise_action)
-    orbit_blocks = _sorted_blocks(k_b.orbits(range(g.n)))
+    k_b = rec.kernels["K_B"]
+    orbit_blocks = _sorted_blocks(k_b.orbits(range(rec.graph.n)))
     if orbit_blocks != b.blocks:
         raise InconsistentError(
             {"reason": "kernel orbits differ from the half-step blocks"})
-    tag = group_structure(k_b)
+    tag = rec.tags["K_B"]
     want = s.attachment if s.radius % s.attachment == 0 else s.attachment // 2
     if not (_is_cyclic_of(tag, want)
             or (want == 2 and tag.kind == "Trivial")):
@@ -319,25 +319,74 @@ def thm_pipeline(g: Graph, group: GroupByGenerators) -> dict:
             {"reason": "block kernel not cyclic of the predicted order",
              "observed": str(tag), "expected_order": want})
 
-    q = quotient_graph(g, b)
-    induced = quotient_action(group, b, kernel=k_b)
+    q = quotient_graph(rec.graph, b)
+    induced = quotient_action(rec.group, b, kernel=k_b)
     if q.degenerate:
         report.update(outcome="degenerate-quotient",
                       kernel=str(tag), quotient_n=q.graph.n)
         return report
-    q_cert = certify_hat(q.graph, induced)
-    q_s = analyze(q_cert.orientation)
+    q_s = Analysis(q.graph, induced).structure
     want_kind = "loose" if s.radius % s.attachment == 0 else "antipodal"
     if q_s.attachment_kind != want_kind:
         raise InconsistentError(
             {"reason": "quotient attachment kind mismatch",
              "observed": q_s.attachment_kind, "expected": want_kind})
+    psi = psi_isomorphism(s, b, q_s)
     report.update(outcome="quotient", kernel=str(tag),
                   quotient_n=q.graph.n, quotient_r=q_s.radius,
                   quotient_a=q_s.attachment,
-                  quotient_kind=q_s.attachment_kind)
-    if s.attachment < s.radius:
-        q_alt = q_s
-        psi = psi_isomorphism(s, b, q_alt)
-        report["psi_cycle_map"] = {int(k): int(v) for k, v in psi.items()}
+                  quotient_kind=q_s.attachment_kind,
+                  psi_cycle_map={int(k): int(v) for k, v in psi.items()})
     return report
+
+
+class Analysis:
+    """One (graph, group) instance and its analysis chain: the certified
+    orientation, the alternating structure, the three kernels, their
+    structures and case, and the quotient reduction.  Each field is
+    computed on first use and cached, so every reader shares one
+    computation.  ``params`` are the construction parameters of a
+    layered-family instance, else None.
+    """
+
+    def __init__(self, graph: Graph, group: GroupByGenerators, params=None):
+        self.graph = graph
+        self.group = group
+        self.params = params
+
+    @cached_property
+    def orientation(self) -> OrientedGraph:
+        return certify_hat(self.graph, self.group).orientation
+
+    @cached_property
+    def structure(self) -> AltStructure:
+        return analyze(self.orientation)
+
+    @cached_property
+    def kernels(self) -> dict:
+        return kernels(self.graph, self.group, self.structure)
+
+    @cached_property
+    def kernels_equal(self) -> bool:
+        ks = self.kernels
+        return (ks["K_alt"].elements() == ks["K_B"].elements()
+                == ks["K_A"].elements())
+
+    @cached_property
+    def tags(self) -> dict:
+        """Kernel name -> StructureTag, recognised once per distinct
+        element set."""
+        by_elements = {}
+        for k in self.kernels.values():
+            if k.elements() not in by_elements:
+                by_elements[k.elements()] = group_structure(k)
+        return {name: by_elements[k.elements()]
+                for name, k in self.kernels.items()}
+
+    @cached_property
+    def kernel_case(self) -> KernelCase:
+        return classify_kernel(self.structure, self.tags["K_alt"])
+
+    @cached_property
+    def pipeline(self) -> dict:
+        return thm_pipeline(self)

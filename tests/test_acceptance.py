@@ -80,8 +80,8 @@ def test_criterion_03_jump_formula_suite():
 def test_criterion_04_jump_arithmetic_suite():
     checked = 0
     ok = True
-    for _key, g, grp in harness.instance_pool(harness.GridConfig()):
-        s = analyze(certify_hat(g, grp).orientation)
+    for _key, rec in harness.instance_pool(harness.GridConfig()):
+        s = rec.structure
         a = s.attachment
         if a < 2:
             continue
@@ -109,12 +109,12 @@ def test_criterion_06_kernel_classification_suite():
 def test_criterion_07_quotient_reduction():
     checked = 0
     ok = True
-    for key, g, grp in harness.instance_pool(harness.GridConfig()):
-        s = analyze(certify_hat(g, grp).orientation)
+    for _key, rec in harness.instance_pool(harness.GridConfig()):
+        s = rec.structure
         if s.attachment >= s.radius:
             continue
         checked += 1
-        rep = quotients.thm_pipeline(g, grp)
+        rep = rec.pipeline
         want = "loose" if s.radius % s.attachment == 0 else "antipodal"
         ok = ok and rep["outcome"] == "quotient"
         ok = ok and rep["quotient_kind"] == want

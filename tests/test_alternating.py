@@ -10,7 +10,6 @@ from hatkit.alternating import (
     check_mult_lemma,
     min_r_jump,
     rotation_profile,
-    verify_gta_jump,
 )
 from hatkit.constructions import (
     XeParams,
@@ -28,7 +27,14 @@ from hatkit.errors import (
     NotCyclePreservingError,
     PreconditionFailedError,
 )
-from hatkit.graphcore import certify_hat, orientation_from_arcs, reverse_orientation
+from hatkit.graphcore import (
+    OrientedGraph,
+    build_graph,
+    certify_hat,
+    edge_key,
+    orientation_from_arcs,
+    reverse_orientation,
+)
 from hatkit.quotients import kernels
 
 
@@ -161,14 +167,36 @@ class TestAnalyze:
             union |= b
         assert union == set(range(g.n))
 
+    def test_jump_pair_checked_at_every_vertex(self):
+        # Three alternating 10-cycles: cycle i alternates the double heads
+        # A[i-1] with the double tails A[i], and A[i] runs along cycle i+1
+        # in its order on cycle i multiplied by mult[i] mod 5.  The jump
+        # pair is (2, 2) on A[1] and A[2] but (1, 1) on A[0], which avoids
+        # vertices 0, 3, 6 and 9, the only ones a three-vertex sample saw.
+        A = ((1, 2, 4, 5, 7), (0, 3, 6, 8, 10), (9, 11, 12, 13, 14))
+        mult = (1, 2, 2)
+        head_of = {}
+        for i in range(3):
+            heads = [A[i - 1][mult[i - 1] * j % 5] for j in range(5)]
+            cycle = [v for j in range(5) for v in (heads[j], A[i][j])]
+            for j, u in enumerate(cycle):
+                w = cycle[(j + 1) % 10]
+                head_of[edge_key(u, w)] = u if u in heads else w
+        og = OrientedGraph(build_graph(15, head_of), head_of)
+        with pytest.raises(AlternatingStructureError,
+                           match="jump parameters differ at vertex 1"):
+            analyze(og)
+
 
 class TestJumpLemmas:
     def test_grid_jump_formula(self):
         assert min_r_jump(2, 9) == 2  # min{2, 7, 5, 4}
-        assert verify_gta_jump(XoParams(3, 9, 2))
-        assert verify_gta_jump(XoParams(6, 13, 3))
-        assert verify_gta_jump(XoParams(6, 13, 2))
-        assert verify_gta_jump(XeParams(4, 20, 3, 10))
+        for builder, p in ((build_xo, XoParams(3, 9, 2)),
+                           (build_xo, XoParams(6, 13, 3)),
+                           (build_xo, XoParams(6, 13, 2)),
+                           (build_xe, XeParams(4, 20, 3, 10))):
+            _g, _grp, s = analyzed(builder, p)
+            assert s.jum == min_r_jump(p.q, p.r)
 
     def test_mult_lemma(self):
         for builder, p in ((build_xo, XoParams(3, 9, 2)),

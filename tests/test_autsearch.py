@@ -16,7 +16,12 @@ from hatkit.constructions import (
     build_xo,
 )
 from hatkit.errors import SearchBudgetExceededError
-from hatkit.graphcore import build_graph, edge_key, is_automorphism
+from hatkit.graphcore import (
+    build_graph,
+    certify_hat,
+    edge_key,
+    is_automorphism,
+)
 from hatkit.perm import Permutation
 
 
@@ -124,11 +129,13 @@ class TestArcTransitivity:
 class TestOrbitSwapper:
     def test_half_arc_transitive_graph_has_none(self):
         g, grp = build_xo(XoParams(3, 9, 2))
-        assert not has_orbit_swapper(g, grp)
+        arcs = certify_hat(g, grp).orientation.arc_set
+        assert not has_orbit_swapper(arcs, automorphism_group(g))
 
     def test_arc_transitive_ambient_group_has_one(self):
         # the two-cycle circulant is K_{4,4}, whose full automorphism group
         # reverses the chosen orientation
         from hatkit.constructions import special_circulant_k44
         g, grp = special_circulant_k44()
-        assert has_orbit_swapper(g, grp)
+        arcs = certify_hat(g, grp).orientation.arc_set
+        assert has_orbit_swapper(arcs, automorphism_group(g))

@@ -2,10 +2,21 @@ import json
 
 import pytest
 
-from hatkit import cli, harness
-from hatkit.constructions import build_wreath, wreath_hat_group
+from hatkit import cli, harness, quotients
+from hatkit.autsearch import automorphism_group
+from hatkit.constructions import (
+    build_cubic_arc_graph,
+    build_wreath,
+    wreath_hat_group,
+)
 from hatkit.fileio import bundle_to_json, format_edgelist, graph6_encode
-from hatkit.harness import GridConfig, analyze_instance, ingest, run_suite
+from hatkit.harness import (
+    GridConfig,
+    analyze_instance,
+    ingest,
+    run_suite,
+    run_suites,
+)
 
 SMALL = GridConfig(xo_m=(3,), xo_r=(5, 7, 9), xe_m=(4,), xe_r=(4, 6),
                    wreath_n=(3, 4))
@@ -16,7 +27,7 @@ class TestGrid:
         assert len(harness.param_grid(GridConfig())) >= 100
 
     def test_pool_contains_all_families(self):
-        keys = [k for k, _g, _grp in harness.instance_pool(SMALL)]
+        keys = [k for k, _rec in harness.instance_pool(SMALL)]
         assert any(k.startswith("Xo") for k in keys)
         assert any(k.startswith("Xe") for k in keys)
         assert any(k.startswith("wreath") for k in keys)
@@ -39,6 +50,39 @@ class TestSuites:
         doc = report.to_json()
         assert doc["suite"] == "gta" and doc["passed"]
         assert doc["counts"]["pass"] == len(report.results)
+
+    def test_one_analysis_per_instance(self, monkeypatch):
+        calls = {"certify_hat": 0, "analyze": 0, "kernels": 0}
+
+        def counted(name):
+            fn = getattr(quotients, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(quotients, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        reports = {r.suite: r for r in run_suites(harness.SUITE_NAMES, SMALL)}
+        pool = len(reports["kernels"].results)
+        # each quotient reduction certifies and analyses its quotient once
+        reduced = sum(r.detail.get("outcome") == "quotient"
+                      for r in reports["quotient"].results)
+        assert pool == len(list(harness.instance_pool(SMALL))) and reduced
+        assert calls == {"certify_hat": pool + reduced,
+                         "analyze": pool + reduced, "kernels": pool}
+
+    def test_one_walk_matches_single_suites(self):
+        def doc(report):
+            out = report.to_json()
+            del out["wall_time_s"]
+            return out
+
+        together = run_suites(harness.SUITE_NAMES, SMALL)
+        assert [r.suite for r in together] == list(harness.SUITE_NAMES)
+        for report in together:
+            assert doc(report) == doc(run_suite(report.suite, SMALL))
 
     def test_invalid_params_recorded_as_skip_not_failure(self):
         # a grid whose even-family column admits no valid (q, t) at all
@@ -78,8 +122,99 @@ class TestIngest:
         path.write_text(bundle_to_json(g, wreath_hat_group(5)))
         cfg = GridConfig(xo_m=(), xo_r=(), xe_m=(), xe_r=(), wreath_n=(),
                          extra_files=(str(path),))
-        keys = [k for k, _g, _grp in harness.instance_pool(cfg)]
+        keys = [k for k, _rec in harness.instance_pool(cfg)]
         assert "file(extra.json)" in keys
+
+
+class TestIngestFailures:
+    BAD = {
+        "unparsable.json": '{"n": 8, "edges": [',
+        "duplicate.json": json.dumps({"n": 4, "edges": [[0, 1], [1, 0]],
+                                      "generators": [[1, 0, 2, 3]]}),
+        # a 6-cycle with its rotations: certify_hat rejects the degree
+        "hexagon.json": json.dumps(
+            {"n": 6, "edges": [[i, (i + 1) % 6] for i in range(6)],
+             "generators": [[(i + 1) % 6 for i in range(6)]]}),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_bad_file_gets_error_rows_only(self, tmp_path, bad):
+        good = tmp_path / "good.json"
+        good.write_text(bundle_to_json(build_wreath(5), wreath_hat_group(5)))
+        (tmp_path / bad).write_text(self.BAD[bad])
+        cfg = GridConfig(xo_m=(3,), xo_r=(5,), xe_m=(), xe_r=(),
+                         wreath_n=(3,), extra_files=(str(good),))
+        mixed = GridConfig(**{**vars(cfg), "extra_files": (
+            str(tmp_path / bad), str(good))})
+        for clean, report in zip(run_suites(harness.SUITE_NAMES, cfg),
+                                 run_suites(harness.SUITE_NAMES, mixed)):
+            rows = {r.key: r for r in report.results}
+            # gta and iso-relations cover the layered grid only
+            if report.suite not in ("gta", "iso-relations"):
+                assert rows.pop(f"file({bad})").status == "error"
+            assert [(r.key, r.status, r.detail) for r in rows.values()] == \
+                [(r.key, r.status, r.detail) for r in clean.results]
+
+
+def _k4_arc_bundle(tmp_path):
+    k4 = harness.small_cubic_graphs()["K4"]
+    path = tmp_path / "k4arc.json"
+    path.write_text(bundle_to_json(
+        *build_cubic_arc_graph(k4, automorphism_group(k4))))
+    return str(path)
+
+
+def _kernel_facts(case, order, structure):
+    names = ("K_A", "K_B", "K_alt")
+    return {"kernel_case": case, "kernel_structure": structure,
+            "kernels_equal": True,
+            "kernels": {k: {"order": order, "structure": structure}
+                        for k in names}}, {
+        "case": case, "equal": True, "orders": dict.fromkeys(names, order),
+        "structures": dict.fromkeys(names, structure)}
+
+
+XO_KERNELS = _kernel_facts("iii", 18, "Dihedral(18)")
+WREATH_KERNELS = _kernel_facts("ii", 16, "ElemAbelian2(4)")
+ARC_KERNELS = _kernel_facts("v", 1, "Trivial")
+
+# analyze and kernels reports, as the CLI printed them before the analysis
+# record replaced the separate pipeline copies
+PINNED = {
+    "xo:3,9,2": ({
+        "Q": [2, 4], "a": 9, "attachment_kind": "tight", "cycle_count": 3,
+        "ell": 2, "group_order": 54, "jum": 2, "m": 54, "n": 27, "r": 9,
+        "quotient": {"a": 9, "ell": 2, "extended_by_tau": False, "jum": 2,
+                     "outcome": "tight", "r": 9},
+        **XO_KERNELS[0]}, XO_KERNELS[1]),
+    "wreath:4": ({
+        "Q": [1], "a": 2, "attachment_kind": "tight", "cycle_count": 4,
+        "ell": 2, "group_order": 64, "jum": 1, "m": 16, "n": 8, "r": 2,
+        "quotient": {"a": 2, "ell": 2, "extended_by_tau": False, "jum": 1,
+                     "outcome": "tight", "r": 2},
+        **WREATH_KERNELS[0]}, WREATH_KERNELS[1]),
+    "k4arc": ({
+        "Q": [1], "a": 2, "attachment_kind": "antipodal", "cycle_count": 4,
+        "ell": 3, "group_order": 24, "jum": 1, "m": 24, "n": 12, "r": 3,
+        "quotient": {"a": 2, "ell": 3, "extended_by_tau": False, "jum": 1,
+                     "kernel": "Trivial", "outcome": "quotient",
+                     "psi_cycle_map": {"0": 0, "1": 1, "2": 2, "3": 3},
+                     "quotient_a": 2, "quotient_kind": "antipodal",
+                     "quotient_n": 12, "quotient_r": 3, "r": 3},
+        **ARC_KERNELS[0]}, ARC_KERNELS[1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_reports_match_pinned(name, tmp_path, capsys):
+    spec = _k4_arc_bundle(tmp_path) if name == "k4arc" else name
+    analyzed, kernel_doc = PINNED[name]
+    assert cli.main(["analyze", spec]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    del doc["instance"]
+    assert doc == analyzed
+    assert cli.main(["kernels", spec]) == 0
+    assert json.loads(capsys.readouterr().out) == kernel_doc
 
 
 class TestAnalyzeInstance:

@@ -8,7 +8,6 @@ from hatkit.perm import (
     action_kernel,
     group_from_elements,
     group_structure,
-    is_semiregular,
     setwise_action,
 )
 
@@ -95,11 +94,6 @@ class TestGroup:
         assert k.order() == 4
         assert all(setwise_action(b, p) == b for b in blocks
                    for p in k.elements())
-
-    def test_semiregular(self):
-        assert is_semiregular(GroupByGenerators((cyclic_perm(5),)), range(5))
-        assert not is_semiregular(
-            GroupByGenerators((reflection_perm(5),)), range(5))
 
     def test_group_from_elements_roundtrip(self):
         g = GroupByGenerators((cyclic_perm(6),))
