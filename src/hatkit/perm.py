@@ -9,9 +9,17 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import combinations
+from math import lcm, prod
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import BadPermutationError, CapExceededError, DegreeMismatchError
+from .errors import (
+    BadPermutationError,
+    BlocksNotInvariantError,
+    CapExceededError,
+    DegreeMismatchError,
+)
 
 DEFAULT_ELEMENT_CAP = int(os.environ.get("HATKIT_ELEMENT_CAP", 10**6))
 
@@ -57,12 +65,18 @@ class Permutation:
         return all(y == x for x, y in enumerate(self.images))
 
     def order(self) -> int:
-        k = 1
-        p = self
-        while not p.is_identity():
-            p = p * self
-            k += 1
-        return k
+        """The lcm of the cycle lengths."""
+        seen = [False] * len(self.images)
+        out = 1
+        for x in range(len(self.images)):
+            length = 0
+            while not seen[x]:
+                seen[x] = True
+                x = self.images[x]
+                length += 1
+            if length:
+                out = lcm(out, length)
+        return out
 
     def fixed_points(self) -> list:
         return [x for x, y in enumerate(self.images) if x == y]
@@ -79,15 +93,149 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(qi[y] for y in p.images))
 
 
+def _mul(p: tuple, q: tuple) -> tuple:
+    """Image tuple of p followed by q.  The chain only multiplies in groups
+    with a non-identity generator, so the degree is at least 2 and
+    ``itemgetter`` returns a tuple."""
+    return itemgetter(*p)(q)
+
+
+def _inverse(p: tuple) -> tuple:
+    inv = [0] * len(p)
+    for x in range(len(p)):
+        inv[p[x]] = x
+    return tuple(inv)
+
+
+class StabilizerChain:
+    """A base and strong generating set, built by the deterministic
+    Schreier-Sims algorithm (Sims 1970; Seress, *Permutation Group
+    Algorithms*, 2003, section 4.2) on image tuples.
+
+    ``base`` starts with the given prefix; further points are appended as
+    needed, each the least point moved by the generator that needs it.
+    ``strong[i]`` holds the strong generators fixing ``base[:i]``; they
+    generate the pointwise stabilizer G_i of ``base[:i]``.
+    ``transversal[i]`` maps each point of the G_i-orbit of ``base[i]`` to
+    a pair (u, u^-1) with u carrying ``base[i]`` to that point.
+    """
+
+    def __init__(self, generators: Iterable[tuple], degree: int,
+                 base: Iterable[int] = ()):
+        self.identity = tuple(range(degree))
+        self.base = []
+        self.strong = []
+        self.transversal = []
+        # per level: (point, strong index) pairs whose Schreier generator
+        # sifts to the identity
+        self._checked = []
+        for b in base:
+            self._add_level(b)
+        for g in dict.fromkeys(generators):
+            if g != self.identity:
+                self._add_strong(g, 0)
+        self._complete()
+
+    def _add_level(self, b: int) -> None:
+        self.base.append(b)
+        self.strong.append([])
+        self.transversal.append({b: (self.identity, self.identity)})
+        self._checked.append(set())
+
+    def _add_strong(self, h: tuple, first: int) -> int:
+        """Add h, which fixes ``base[:first]``, to the levels from ``first``
+        to the first one whose base point it moves; if it fixes the whole
+        base, append its least moved point.  Returns that last level."""
+        last = next((i for i in range(first, len(self.base))
+                     if h[self.base[i]] != self.base[i]), None)
+        if last is None:
+            last = len(self.base)
+            self._add_level(next(x for x, y in enumerate(h) if x != y))
+        for level in range(first, last + 1):
+            self.strong[level].append(h)
+            self._extend(level)
+        return last
+
+    def _extend(self, i: int) -> None:
+        """Close the orbit of ``base[i]`` under ``strong[i]``.  Existing
+        transversal entries never change, so a sift that once reached the
+        identity always does.  The Schreier generator of a pair (b, k) that
+        defines a new entry is the identity, so the pair is marked checked."""
+        trans = self.transversal[i]
+        checked = self._checked[i]
+        queue = list(trans)
+        for b in queue:
+            u = trans[b][0]
+            for k, g in enumerate(self.strong[i]):
+                c = g[b]
+                if c not in trans:
+                    w = _mul(u, g)
+                    trans[c] = (w, _inverse(w))
+                    checked.add((b, k))
+                    queue.append(c)
+
+    def sift(self, g: tuple, start: int = 0) -> tuple:
+        """Strip g through the levels from ``start`` on.  Once the chain is
+        complete, the residue is the identity exactly when g lies in
+        G_start."""
+        for i in range(start, len(self.base)):
+            b = self.base[i]
+            c = g[b]
+            if c != b:
+                t = self.transversal[i].get(c)
+                if t is None:
+                    return g
+                g = _mul(g, t[1])
+        return g
+
+    def _schreier_residue(self, i: int):
+        """The residue of the first Schreier generator of level i that does
+        not sift to the identity through the levels below, or None.  A level
+        whose orbit is one point has only its strong generators as Schreier
+        generators, and they are checked at level i + 1."""
+        trans = self.transversal[i]
+        if len(trans) == 1:
+            return None
+        checked = self._checked[i]
+        for b in trans:
+            u = trans[b][0]
+            for k, s in enumerate(self.strong[i]):
+                if (b, k) in checked:
+                    continue
+                h = self.sift(_mul(_mul(u, s), trans[s[b]][1]), i + 1)
+                if h != self.identity:
+                    return h
+                checked.add((b, k))
+        return None
+
+    def _complete(self) -> None:
+        i = len(self.base) - 1
+        while i >= 0:
+            found = self._schreier_residue(i)
+            if found is None:
+                i -= 1
+            else:
+                i = self._add_strong(found, i + 1)
+
+    def order(self) -> int:
+        return prod(len(trans) for trans in self.transversal)
+
+    def __contains__(self, g: tuple) -> bool:
+        return self.sift(g) == self.identity
+
+
 @dataclass
 class GroupByGenerators:
-    """A permutation group given by generators, with lazily enumerated
-    element set (breadth-first closure, capped at ``element_cap``)."""
+    """A permutation group given by generators.  Order and membership come
+    from a stabilizer chain built on first use; the element set is listed
+    (breadth-first closure, capped at ``element_cap``) only on request."""
 
     generators: tuple
     degree: int = field(default=None)
     element_cap: int = DEFAULT_ELEMENT_CAP
     _elements: Optional[frozenset] = field(default=None, repr=False, compare=False)
+    _chain: Optional[StabilizerChain] = field(default=None, repr=False,
+                                              compare=False)
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
@@ -113,11 +261,18 @@ class GroupByGenerators:
             self._elements = frozenset(enumerate_elements(self))
         return self._elements
 
+    @property
+    def chain(self) -> StabilizerChain:
+        if self._chain is None:
+            self._chain = StabilizerChain(
+                (p.images for p in self.generators), self.degree)
+        return self._chain
+
     def order(self) -> int:
-        return len(self.elements())
+        return self.chain.order()
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self.elements()
+        return p.degree == self.degree and p.images in self.chain
 
     def orbit(self, point, act: Callable = None) -> frozenset:
         act = act or (lambda x, g: g(x))
@@ -170,29 +325,44 @@ def enumerate_elements(g: GroupByGenerators) -> set:
                     elements.add(q)
                     if len(elements) > g.element_cap:
                         raise CapExceededError(
-                            f"group closure exceeds cap {g.element_cap}")
+                            f"listing the elements of a group of degree "
+                            f"{g.degree} on {len(g.generators)} generators "
+                            f"exceeds the element cap {g.element_cap} "
+                            f"(HATKIT_ELEMENT_CAP)")
                     new.append(q)
         frontier = new
     return elements
 
 
-def group_from_elements(elements: Iterable[Permutation], degree: int,
-                        element_cap: int = DEFAULT_ELEMENT_CAP) -> GroupByGenerators:
-    elems = frozenset(elements)
-    gens = tuple(p for p in sorted(elems, key=lambda p: p.images)
-                 if not p.is_identity())
-    g = GroupByGenerators(gens, degree=degree, element_cap=element_cap)
-    g._elements = elems if elems else frozenset({Permutation.identity(degree)})
-    return g
-
-
 def action_kernel(g: GroupByGenerators, labeled_objects: Sequence,
                   act: Callable) -> GroupByGenerators:
     """Subgroup of all elements fixing every labeled object (setwise, as far
-    as ``act`` is concerned).  Elements come back materialized."""
-    kernel = [p for p in g.elements()
-              if all(act(obj, p) == obj for obj in labeled_objects)]
-    return group_from_elements(kernel, g.degree, g.element_cap)
+    as ``act`` is concerned).
+
+    Each generator becomes a permutation of the k objects and the n points
+    together, objects first.  With the k object points first in the base
+    of its stabilizer chain, the strong generators that fix them all,
+    restricted to the points, generate the kernel.  Raises
+    BlocksNotInvariantError if a generator maps an object outside the set.
+    """
+    objects = list(labeled_objects)
+    index = {obj: k for k, obj in enumerate(objects)}
+    k = len(objects)
+    gens = []
+    for p in g.generators:
+        images = []
+        for obj in objects:
+            img = index.get(act(obj, p))
+            if img is None:
+                raise BlocksNotInvariantError(
+                    f"generator maps an object to one outside the set: {obj}")
+            images.append(img)
+        gens.append(tuple(images) + tuple(k + y for y in p.images))
+    chain = StabilizerChain(gens, k + g.degree, base=range(k))
+    strong = chain.strong[k] if len(chain.base) > k else ()
+    kernel = tuple(Permutation(tuple(y - k for y in s[k:])) for s in strong)
+    return GroupByGenerators(kernel, degree=g.degree,
+                             element_cap=g.element_cap)
 
 
 def setwise_action(s: frozenset, p: Permutation) -> frozenset:
@@ -228,20 +398,24 @@ def group_structure(g: GroupByGenerators) -> StructureTag:
     Cyclic(2); order 4 with all involutions is ElemAbelian2(2) (note that
     the dihedral group of order 4 is Z2 x Z2).  Dihedral(k) denotes the
     dihedral group of order k.
+
+    Abelian groups are recognised from their generators: the exponent is
+    the lcm of the generator orders, and the group is cyclic exactly when
+    the exponent is the order.  Only non-abelian groups, which can only be
+    dihedral or Other here, have their elements listed.
     """
-    elems = sorted(g.elements(), key=lambda p: p.images)
-    n = len(elems)
+    n = g.order()
     if n == 1:
         return StructureTag("Trivial")
-    orders = {p: p.order() for p in elems}
-    if any(o == n for o in orders.values()):
-        return StructureTag("Cyclic", n)
-    if all(o <= 2 for o in orders.values()):
-        # exponent-2 groups are automatically abelian
-        k = n.bit_length() - 1
-        if 2 ** k == n:
-            return StructureTag("ElemAbelian2", k)
+    if all(p * q == q * p for p, q in combinations(g.generators, 2)):
+        exponent = lcm(*(p.order() for p in g.generators))
+        if exponent == n:
+            return StructureTag("Cyclic", n)
+        if exponent == 2:
+            return StructureTag("ElemAbelian2", n.bit_length() - 1)
         return StructureTag("Other", n)
+    elems = sorted(g.elements(), key=lambda p: p.images)
+    orders = {p: p.order() for p in elems}
     if n % 2 == 0:
         half = n // 2
         for c in elems:

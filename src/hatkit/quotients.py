@@ -340,6 +340,11 @@ def thm_pipeline(rec: Analysis) -> dict:
     return report
 
 
+def _same_group(h: GroupByGenerators, k: GroupByGenerators) -> bool:
+    """Equal orders, and every generator of h lies in k."""
+    return h.order() == k.order() and all(p in k for p in h.generators)
+
+
 class Analysis:
     """One (graph, group) instance and its analysis chain: the certified
     orientation, the alternating structure, the three kernels, their
@@ -369,19 +374,18 @@ class Analysis:
     @cached_property
     def kernels_equal(self) -> bool:
         ks = self.kernels
-        return (ks["K_alt"].elements() == ks["K_B"].elements()
-                == ks["K_A"].elements())
+        return (_same_group(ks["K_alt"], ks["K_B"])
+                and _same_group(ks["K_B"], ks["K_A"]))
 
     @cached_property
     def tags(self) -> dict:
         """Kernel name -> StructureTag, recognised once per distinct
-        element set."""
-        by_elements = {}
-        for k in self.kernels.values():
-            if k.elements() not in by_elements:
-                by_elements[k.elements()] = group_structure(k)
-        return {name: by_elements[k.elements()]
-                for name, k in self.kernels.items()}
+        subgroup."""
+        out = {}
+        for name, k in self.kernels.items():
+            same = [seen for seen in out if _same_group(self.kernels[seen], k)]
+            out[name] = out[same[0]] if same else group_structure(k)
+        return out
 
     @cached_property
     def kernel_case(self) -> KernelCase:

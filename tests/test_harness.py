@@ -1,6 +1,8 @@
 import json
+import random
 
 import pytest
+from sympy.combinatorics import Permutation as SymPerm, PermutationGroup
 
 from hatkit import cli, harness, quotients
 from hatkit.autsearch import automorphism_group
@@ -10,6 +12,7 @@ from hatkit.constructions import (
     wreath_hat_group,
 )
 from hatkit.fileio import bundle_to_json, format_edgelist, graph6_encode
+from hatkit.graphcore import edge_key
 from hatkit.harness import (
     GridConfig,
     analyze_instance,
@@ -17,9 +20,15 @@ from hatkit.harness import (
     run_suite,
     run_suites,
 )
+from hatkit.perm import GroupByGenerators, Permutation, setwise_action
 
 SMALL = GridConfig(xo_m=(3,), xo_r=(5, 7, 9), xe_m=(4,), xe_r=(4, 6),
                    wreath_n=(3, 4))
+
+
+def sympy_group(generators):
+    """The oracle: sympy's group on the given image lists."""
+    return PermutationGroup([SymPerm(list(g)) for g in generators])
 
 
 class TestGrid:
@@ -90,6 +99,54 @@ class TestSuites:
                          wreath_n=())
         report = run_suite("gta", cfg)
         assert report.passed and report.counts()["fail"] == 0
+
+
+class TestPoolOracles:
+    """The stabilizer chains and kernels of every small-grid group (order at
+    most 120) against independent oracles: sympy, and filtering the listed
+    elements."""
+
+    def test_order_and_membership_match_sympy(self):
+        for key, rec in harness.instance_pool(SMALL):
+            g = rec.group
+            oracle = sympy_group(p.images for p in g.generators)
+            assert g.order() == oracle.order(), key
+            rng = random.Random(key)
+            candidates = [Permutation.from_mapping(
+                g.degree, lambda x: {0: 1, 1: 0}.get(x, x))]
+            for _ in range(5):
+                word = g.identity
+                for _ in range(6):
+                    word = word * rng.choice(g.generators)
+                images = list(range(g.degree))
+                rng.shuffle(images)
+                candidates += [word, Permutation(tuple(images))]
+            for p in candidates:
+                assert (p in g) == oracle.contains(SymPerm(list(p.images))), \
+                    (key, p)
+
+    def test_kernels_match_filtered_elements(self):
+        def fixing(group, objects, act):
+            return frozenset(p for p in group.elements()
+                             if all(act(obj, p) == obj for obj in objects))
+
+        def edge_set_act(es, p):
+            return frozenset(edge_key(p(u), p(v)) for u, v in es)
+
+        for key, rec in harness.instance_pool(SMALL):
+            s = rec.structure
+            want = {
+                "K_alt": fixing(rec.group, s.cycle_edge_sets, edge_set_act),
+                "K_B": fixing(rec.group, quotients.construction_b(s).blocks,
+                              setwise_action),
+                "K_A": fixing(rec.group,
+                              quotients.attachment_partition(s).blocks,
+                              setwise_action),
+            }
+            got = {name: k.elements() for name, k in rec.kernels.items()}
+            assert got == want, key
+            assert rec.kernels_equal == (
+                want["K_alt"] == want["K_B"] == want["K_A"]), key
 
 
 class TestIngest:
@@ -249,6 +306,19 @@ class TestCli:
         assert cli.main(["aut", "circ:13:1,3"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["order"] == 26 and not doc["arc_transitive"]
+
+    def test_aut_order_past_element_cap(self, capsys):
+        assert cli.main(["aut", "xo:4,9,1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["order"] == 9437184 == sympy_group(
+            doc["generators"]).order()
+
+    def test_aut_order_lists_no_elements(self, capsys, monkeypatch):
+        def listing(_group):
+            raise AssertionError("group elements listed")
+        monkeypatch.setattr(GroupByGenerators, "elements", listing)
+        assert cli.main(["aut", "xo:4,7,1"]) == 0
+        assert json.loads(capsys.readouterr().out)["order"] == 458752
 
     def test_kernels(self, capsys):
         assert cli.main(["kernels", "xo:3,9,2"]) == 0

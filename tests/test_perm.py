@@ -1,12 +1,16 @@
 import pytest
 from hypothesis import given, strategies as st
+from sympy.combinatorics import Permutation as SymPerm, PermutationGroup
 
-from hatkit.errors import BadPermutationError, CapExceededError
+from hatkit.errors import (
+    BadPermutationError,
+    BlocksNotInvariantError,
+    CapExceededError,
+)
 from hatkit.perm import (
     GroupByGenerators,
     Permutation,
     action_kernel,
-    group_from_elements,
     group_structure,
     setwise_action,
 )
@@ -22,6 +26,49 @@ def cyclic_perm(n):
 
 def reflection_perm(n):
     return Permutation.from_mapping(n, lambda x: (-x) % n)
+
+
+def sympy_group(g):
+    """The oracle: sympy's group on the same generators."""
+    gens = [p.images for p in g.generators] or [tuple(range(g.degree))]
+    return PermutationGroup([SymPerm(list(x)) for x in gens])
+
+
+@st.composite
+def groups_with_candidates(draw):
+    """A group of degree <= 8 on up to three random generators, a member
+    built as a word in them, and a random permutation."""
+    n = draw(st.integers(1, 8))
+    gens = draw(st.lists(perm_strategy(n), max_size=3))
+    member = Permutation.identity(n)
+    if gens:
+        for i in draw(st.lists(st.integers(0, len(gens) - 1), max_size=8)):
+            member = member * gens[i]
+    return GroupByGenerators(tuple(gens), degree=n), member, draw(perm_strategy(n))
+
+
+def enumerated_structure(g):
+    """The oracle: recognition from the full element list."""
+    elems = g.elements()
+    n = len(elems)
+    orders = {p: p.order() for p in elems}
+    if n == 1:
+        return "Trivial"
+    if n in orders.values():
+        return f"Cyclic({n})"
+    if max(orders.values()) == 2:
+        return f"ElemAbelian2({n.bit_length() - 1})"
+    for c in elems:
+        if 2 * orders[c] == n:
+            powers = set()
+            p = c
+            while p not in powers:
+                powers.add(p)
+                p = p * c
+            if any(t not in powers and orders[t] == 2
+                   and t * c * t == c.inverse() for t in elems):
+                return f"Dihedral({n})"
+    return f"Other({n})"
 
 
 class TestPermutation:
@@ -67,7 +114,9 @@ class TestGroup:
     def test_cap_exceeded(self):
         gens = (Permutation((1, 0, 2, 3, 4)), Permutation((1, 2, 3, 4, 0)))
         g = GroupByGenerators(gens, element_cap=10)
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError,
+                           match="degree 5 on 2 generators exceeds the "
+                                 "element cap 10"):
             g.elements()
 
     def test_trivial(self):
@@ -95,10 +144,30 @@ class TestGroup:
         assert all(setwise_action(b, p) == b for b in blocks
                    for p in k.elements())
 
-    def test_group_from_elements_roundtrip(self):
-        g = GroupByGenerators((cyclic_perm(6),))
-        h = group_from_elements(g.elements(), 6)
-        assert h.elements() == g.elements()
+    def test_action_kernel_rejects_objects_not_permuted(self):
+        g = GroupByGenerators((cyclic_perm(4),))
+        with pytest.raises(BlocksNotInvariantError):
+            action_kernel(g, [frozenset({0, 2}), frozenset({1})],
+                          setwise_action)
+
+
+class TestChain:
+    @given(groups_with_candidates())
+    def test_matches_sympy(self, case):
+        g, member, other = case
+        oracle = sympy_group(g)
+        assert g.order() == oracle.order()
+        assert member in g
+        assert (other in g) == oracle.contains(SymPerm(list(other.images)))
+
+    def test_order_and_membership_past_element_cap(self):
+        g = GroupByGenerators((Permutation((1, 0, 2, 3, 4, 5, 6, 7)),
+                               cyclic_perm(8)), element_cap=10)
+        assert g.order() == 40320
+        assert cyclic_perm(8).inverse() in g and g._elements is None
+
+    def test_other_degree_is_not_a_member(self):
+        assert Permutation.identity(3) not in GroupByGenerators.trivial(4)
 
 
 class TestStructure:
@@ -133,3 +202,33 @@ class TestStructure:
         g = GroupByGenerators((Permutation((1, 0, 2, 3)),
                                Permutation((1, 2, 3, 0))))
         assert str(group_structure(g)) == "Other(24)"
+
+    @pytest.mark.parametrize("gens, expected", [
+        ((), "Trivial"),
+        ((Permutation((1, 0)),), "Cyclic(2)"),
+        ((cyclic_perm(9),), "Cyclic(9)"),
+        # Z2 x Z3 on disjoint supports is cyclic of order 6
+        ((Permutation((1, 0, 2, 3, 4)), Permutation((0, 1, 3, 4, 2))),
+         "Cyclic(6)"),
+        # Z2 x Z4 is abelian of exponent 4
+        ((Permutation((1, 0, 2, 3, 4, 5)), Permutation((0, 1, 3, 4, 5, 2))),
+         "Other(8)"),
+        ((Permutation((1, 0, 2, 3)), Permutation((0, 1, 3, 2))),
+         "ElemAbelian2(2)"),
+        ((cyclic_perm(4), reflection_perm(4)), "Dihedral(8)"),
+        ((cyclic_perm(9), reflection_perm(9)), "Dihedral(18)"),
+        # the quaternion group, regular on 8 points: one involution
+        ((Permutation((1, 2, 3, 0, 5, 6, 7, 4)),
+          Permutation((4, 7, 6, 5, 2, 1, 0, 3))), "Other(8)"),
+        ((Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0))), "Other(24)"),
+    ])
+    def test_matches_enumeration(self, gens, expected):
+        g = GroupByGenerators(gens, degree=max((p.degree for p in gens),
+                                               default=3))
+        assert str(group_structure(g)) == enumerated_structure(g) == expected
+
+    @given(st.integers(2, 5).flatmap(
+        lambda n: st.lists(perm_strategy(n), min_size=1, max_size=3)))
+    def test_random_groups_match_enumeration(self, gens):
+        g = GroupByGenerators(tuple(gens))
+        assert str(group_structure(g)) == enumerated_structure(g)
