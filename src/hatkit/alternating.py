@@ -11,6 +11,7 @@ every index computation reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Optional, Tuple
 
 from .constructions import build_circulant
@@ -22,7 +23,7 @@ from .errors import (
     WellDefinednessFailureError,
 )
 from .graphcore import Graph, OrientedGraph, build_graph, edge_key, is_automorphism
-from .perm import GroupByGenerators, Permutation
+from .perm import Permutation
 
 
 def alternating_cycles(og: OrientedGraph) -> list:
@@ -81,7 +82,7 @@ class AltStructure:
     radius: int
     attachment: int
     ell: int  # 2r / a
-    attachment_sets: tuple  # partition of V into frozensets
+    attachment_sets: tuple  # frozensets partitioning V, by least element
     q_t: int
     q_h: int
     jum: int
@@ -92,9 +93,12 @@ class AltStructure:
     def Q(self) -> frozenset:
         return frozenset({self.q_t, self.q_h})
 
-    @property
-    def cycle_sets(self) -> tuple:
-        return tuple(frozenset(c) for c in self.cycles)
+    @cached_property
+    def cycle_pairs(self) -> tuple:
+        """The pairs (i, j), i < j, of cycles that meet, in order.  Two cycles
+        meet in exactly one attachment set, so there is one pair per set."""
+        return tuple(sorted(tuple(cid for cid, _pos in self.incidence[min(s)])
+                            for s in self.attachment_sets))
 
     @property
     def cycle_edge_sets(self) -> tuple:
@@ -165,7 +169,7 @@ def _vertex_roles(og: OrientedGraph, cycles) -> Tuple[dict, dict]:
     return ({v: tuple(incs) for v, incs in incidence.items()}, tail_cycle)
 
 
-def _jump_at(og: OrientedGraph, cycles, incidence, tail_cycle, v, ell, a):
+def _jump_at(cycles, incidence, tail_cycle, v, ell, a):
     """(q_t, q_h) measured at base vertex v."""
     if a == 1:
         return 0, 0
@@ -213,10 +217,11 @@ def analyze(og: OrientedGraph) -> AltStructure:
     radius = length // 2
     incidence, tail_cycle = _vertex_roles(og, cycles)
 
-    cycle_sets = [frozenset(c) for c in cycles]
-    att_sets = {}
+    # every vertex lies on exactly two cycles, so the intersection of two
+    # cycles is the set of vertices with that pair of cycles
+    att_sets: Dict[tuple, set] = {}
     for v, ((c1, _), (c2, _)) in incidence.items():
-        att_sets.setdefault((c1, c2), cycle_sets[c1] & cycle_sets[c2])
+        att_sets.setdefault((c1, c2), set()).add(v)
     sizes = {len(s) for s in att_sets.values()}
     if len(sizes) != 1:
         raise AlternatingStructureError(
@@ -225,14 +230,6 @@ def analyze(og: OrientedGraph) -> AltStructure:
     if (2 * radius) % a != 0:
         raise AlternatingStructureError(
             f"attachment number {a} does not divide cycle length {2 * radius}")
-    # intersecting cycle pairs beyond those sharing a vertex cannot exist;
-    # but verify every intersecting pair has the common size
-    for i in range(len(cycles)):
-        for j in range(i + 1, len(cycles)):
-            inter = cycle_sets[i] & cycle_sets[j]
-            if inter and len(inter) != a:
-                raise AlternatingStructureError(
-                    f"cycles {i}, {j} meet in {len(inter)} != {a} vertices")
     ell = 2 * radius // a
 
     # Eq.-(1) spacing: on each incident cycle an attachment set sits at
@@ -246,17 +243,11 @@ def analyze(og: OrientedGraph) -> AltStructure:
                 raise AlternatingStructureError(
                     f"attachment set of cycles {c1},{c2} not ell-spaced on {cid}")
 
-    attachment_sets = tuple(sorted({s for s in att_sets.values()}, key=min))
-    covered = set()
-    for s in attachment_sets:
-        if covered & s:
-            raise AlternatingStructureError("attachment sets overlap")
-        covered |= s
-
+    attachment_sets = tuple(sorted(map(frozenset, att_sets.values()), key=min))
     vertices = sorted(incidence)
-    q_t, q_h = _jump_at(og, cycles, incidence, tail_cycle, vertices[0], ell, a)
+    q_t, q_h = _jump_at(cycles, incidence, tail_cycle, vertices[0], ell, a)
     for v in vertices[1:]:
-        if _jump_at(og, cycles, incidence, tail_cycle, v, ell, a) != (q_t, q_h):
+        if _jump_at(cycles, incidence, tail_cycle, v, ell, a) != (q_t, q_h):
             raise AlternatingStructureError(
                 f"jump parameters differ at vertex {v}")
     return AltStructure(
@@ -283,7 +274,7 @@ def associated_circulant(s: AltStructure) -> Graph:
     return build_circulant(a, conn)
 
 
-def check_mult_lemma(s: AltStructure, og: OrientedGraph):
+def check_mult_lemma(s: AltStructure):
     """Index identity between the two cycles through each vertex: with the
     cycles aligned so the first attachment steps match, the i-th attachment
     positions correspond under multiplication by q_t (resp. +-q_h).
@@ -383,20 +374,12 @@ def rotation_profile(gamma: Permutation, s: AltStructure) -> dict:
     return profile
 
 
-def _alt_adjacency(s: AltStructure) -> dict:
-    nbrs: Dict[int, set] = {cid: set() for cid in range(len(s.cycles))}
-    sets = s.cycle_sets
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if sets[i] & sets[j]:
-                nbrs[i].add(j)
-                nbrs[j].add(i)
-    return nbrs
-
-
 def alt_bipartition(s: AltStructure) -> Optional[Tuple[frozenset, frozenset]]:
     """2-coloring of the alternating-cycle graph, or None if not bipartite."""
-    nbrs = _alt_adjacency(s)
+    nbrs: Dict[int, set] = {cid: set() for cid in range(len(s.cycles))}
+    for i, j in s.cycle_pairs:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
     color = {}
     for start in nbrs:
         if start in color:
@@ -415,7 +398,7 @@ def alt_bipartition(s: AltStructure) -> Optional[Tuple[frozenset, frozenset]]:
             frozenset(c for c, col in color.items() if col == 1))
 
 
-def build_rho(og: OrientedGraph, s: AltStructure, group: GroupByGenerators,
+def build_rho(og: OrientedGraph, s: AltStructure,
               gamma: Permutation) -> Permutation:
     """Square root of a double-step kernel rotation.
 

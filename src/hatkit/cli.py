@@ -31,12 +31,17 @@ from .constructions import (
 )
 from .errors import (
     ArcTransitiveError,
+    BadPermutationError,
     CapExceededError,
+    ContainsZeroError,
+    DuplicateEdgeError,
     HatkitError,
     InconsistentError,
     InvalidParamsError,
+    LoopEdgeError,
     NotAutomorphismError,
     NotEdgeTransitiveError,
+    NotInverseClosedError,
     NotVertexTransitiveError,
     ParseError,
     SearchBudgetExceededError,
@@ -45,8 +50,9 @@ from .fileio import bundle_to_json, format_edgelist, to_dot
 from .graphcore import arc_act
 
 _EXIT_CODES = (
-    ((ParseError, ValueError), 2),
-    ((InvalidParamsError,), 3),
+    ((ParseError, ValueError, LoopEdgeError, DuplicateEdgeError,
+      BadPermutationError), 2),
+    ((InvalidParamsError, ContainsZeroError, NotInverseClosedError), 3),
     ((NotAutomorphismError, NotVertexTransitiveError,
       NotEdgeTransitiveError, ArcTransitiveError), 4),
     ((InconsistentError,), 5),

@@ -129,7 +129,7 @@ def sparse6_decode(s: str) -> Graph:
             raise ParseError(f"invalid sparse6 byte {byte}")
         value = byte - 63
         bits.extend((value >> i) & 1 for i in range(5, -1, -1))
-    edges = set()
+    edges = []
     v = 0
     pos = 0
     while pos + 1 + k <= len(bits):
@@ -144,14 +144,20 @@ def sparse6_decode(s: str) -> Graph:
             break
         if x > v:
             v = x
-        elif x != v:  # sparse6 may encode loops/multi-edges; we reject later
-            edges.add((x, v) if x < v else (v, x))
-        else:
-            edges.add((x, v))  # loop; build_graph will reject
-    return build_graph(n, sorted(edges))
+        else:  # build_graph rejects the loops and repeated edges of sparse6
+            edges.append((x, v))
+    return build_graph(n, edges)
 
 
 # -- permutations and bundles --------------------------------------------------
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(map(_is_int, x))
+
 
 def parse_generator_lines(text: str, degree: Optional[int] = None) -> GroupByGenerators:
     gens = []
@@ -163,8 +169,7 @@ def parse_generator_lines(text: str, degree: Optional[int] = None) -> GroupByGen
             images = json.loads(ln)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad image list: {exc}", line=k)
-        if (not isinstance(images, list)
-                or not all(isinstance(x, int) for x in images)):
+        if not _is_int_list(images):
             raise BadPermutationError(f"line {k}: expected a list of integers")
         gens.append(Permutation(tuple(images)))
     if not gens and degree is None:
@@ -188,13 +193,23 @@ def bundle_from_json(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad bundle JSON: {exc}")
-    if "n" not in doc or "edges" not in doc:
+    if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ParseError("bundle JSON needs 'n' and 'edges'")
-    g = build_graph(doc["n"], [tuple(e) for e in doc["edges"]])
+    edges = doc["edges"]
+    if not (_is_int(doc["n"]) and isinstance(edges, list)
+            and all(_is_int_list(e) and len(e) == 2 for e in edges)):
+        raise ParseError("bundle 'n' must be an integer and 'edges' a list "
+                         "of integer pairs")
+    g = build_graph(doc["n"], [tuple(e) for e in edges])
     group = None
     if "generators" in doc:
+        if not isinstance(doc["generators"], list):
+            raise ParseError("bundle 'generators' must be a list")
         gens = []
         for images in doc["generators"]:
+            if not _is_int_list(images):
+                raise BadPermutationError(
+                    f"generator {images!r} is not a list of integers")
             if len(images) != g.n:
                 raise BadPermutationError(
                     f"generator degree {len(images)} != n = {g.n}")

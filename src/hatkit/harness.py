@@ -28,7 +28,7 @@ from .constructions import (
     valid_xo_params,
     wreath_hat_group,
 )
-from .errors import HatkitError, PreconditionFailedError
+from .errors import HatkitError, ParseError, PreconditionFailedError
 from .fileio import bundle_from_json, graph6_decode, parse_edgelist
 from .graphcore import Graph, arc_act, build_graph
 # hatbench's tracing test reads hatkit.harness.certify_hat
@@ -42,7 +42,9 @@ SUITE_NAMES = ("gta", "jump-lemmas", "kernels", "allkernels", "quotient",
 
 @dataclass
 class GridConfig:
-    """Default desk-scale parameter grids; extend ranges via the CLI flag."""
+    """Desk-scale parameter grids and extra instance files.  ``hatkit
+    verify`` uses these default ranges and adds its ``--ingest`` files; a
+    wider grid is a GridConfig built in Python."""
 
     xo_m: tuple = (3, 4, 5, 6)
     xo_r: tuple = tuple(range(5, 16, 2))
@@ -154,6 +156,7 @@ def ingest(path, fmt: Optional[str] = None):
 
     The format is inferred from the suffix when not given:
     .g6/.s6 -> graph6, .json -> bundle-json, anything else -> edgelist.
+    A graph6 or sparse6 file must hold exactly one graph.
     """
     text = Path(path).read_text()
     if fmt is None:
@@ -161,7 +164,11 @@ def ingest(path, fmt: Optional[str] = None):
         fmt = {".g6": "graph6", ".s6": "graph6",
                ".json": "bundle-json"}.get(suffix, "edgelist")
     if fmt == "graph6":
-        return graph6_decode(text.splitlines()[0]), None
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if len(lines) != 1:
+            raise ParseError(f"a graph6 file holds one graph, found "
+                             f"{len(lines)} lines")
+        return graph6_decode(lines[0]), None
     if fmt == "bundle-json":
         g, grp, _params = bundle_from_json(text)
         return g, grp
@@ -220,7 +227,7 @@ def _jump_lemmas(rec: Analysis) -> dict:
     else:
         ok = (gcd(a, s.q_t) == 1 and gcd(a, s.q_h) == 1
               and (s.q_t * s.q_h) % a in (1 % a, (-1) % a))
-    mult_ok, witness = alternating.check_mult_lemma(s, rec.orientation)
+    mult_ok, witness = alternating.check_mult_lemma(s)
     detail = {"_pass": ok and mult_ok, "a": a, "Q": sorted(s.Q)}
     if witness:
         detail["witness"] = witness

@@ -21,7 +21,7 @@ from .errors import (
     DegreeMismatchError,
 )
 
-DEFAULT_ELEMENT_CAP = int(os.environ.get("HATKIT_ELEMENT_CAP", 10**6))
+ELEMENT_CAP = int(os.environ.get("HATKIT_ELEMENT_CAP", 10**6))
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,7 @@ class Permutation:
         return compose(self, other)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Permutation(tuple(inv))
+        return Permutation(_inverse(self.images))
 
     def is_identity(self) -> bool:
         return all(y == x for x, y in enumerate(self.images))
@@ -223,16 +220,23 @@ class StabilizerChain:
     def __contains__(self, g: tuple) -> bool:
         return self.sift(g) == self.identity
 
+    def elements(self) -> list:
+        """Every element, once: an element of G_i is an element of G_i+1
+        followed by one transversal entry of level i."""
+        out = [self.identity]
+        for trans in reversed(self.transversal):
+            out = [_mul(h, u) for h in out for u, _inv in trans.values()]
+        return out
+
 
 @dataclass
 class GroupByGenerators:
-    """A permutation group given by generators.  Order and membership come
-    from a stabilizer chain built on first use; the element set is listed
-    (breadth-first closure, capped at ``element_cap``) only on request."""
+    """A permutation group given by generators.  Order, membership and, on
+    request, the element set come from a stabilizer chain built on first
+    use."""
 
     generators: tuple
     degree: int = field(default=None)
-    element_cap: int = DEFAULT_ELEMENT_CAP
     _elements: Optional[frozenset] = field(default=None, repr=False, compare=False)
     _chain: Optional[StabilizerChain] = field(default=None, repr=False,
                                               compare=False)
@@ -256,9 +260,19 @@ class GroupByGenerators:
         return Permutation.identity(self.degree)
 
     def elements(self) -> frozenset:
-        """Closure of the generators under composition."""
+        """Every element, listed from the stabilizer chain.  Raises
+        CapExceededError, before listing any, when the order exceeds
+        ``ELEMENT_CAP``."""
         if self._elements is None:
-            self._elements = frozenset(enumerate_elements(self))
+            n = self.order()
+            if n > ELEMENT_CAP:
+                raise CapExceededError(
+                    f"listing the {n} elements of a group of degree "
+                    f"{self.degree} on {len(self.generators)} generators "
+                    f"exceeds the element cap {ELEMENT_CAP} "
+                    f"(HATKIT_ELEMENT_CAP)")
+            self._elements = frozenset(
+                Permutation(p) for p in self.chain.elements())
         return self._elements
 
     @property
@@ -306,32 +320,7 @@ class GroupByGenerators:
         return self.orbit(first, act) >= pts
 
     def with_extra_generator(self, p: Permutation) -> "GroupByGenerators":
-        return GroupByGenerators(self.generators + (p,), degree=self.degree,
-                                 element_cap=self.element_cap)
-
-
-def enumerate_elements(g: GroupByGenerators) -> set:
-    """Breadth-first closure of the generators; raises CapExceededError if the
-    closure grows past ``g.element_cap``."""
-    ident = Permutation.identity(g.degree)
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for p in frontier:
-            for gen in g.generators:
-                q = p * gen
-                if q not in elements:
-                    elements.add(q)
-                    if len(elements) > g.element_cap:
-                        raise CapExceededError(
-                            f"listing the elements of a group of degree "
-                            f"{g.degree} on {len(g.generators)} generators "
-                            f"exceeds the element cap {g.element_cap} "
-                            f"(HATKIT_ELEMENT_CAP)")
-                    new.append(q)
-        frontier = new
-    return elements
+        return GroupByGenerators(self.generators + (p,), degree=self.degree)
 
 
 def action_kernel(g: GroupByGenerators, labeled_objects: Sequence,
@@ -361,8 +350,7 @@ def action_kernel(g: GroupByGenerators, labeled_objects: Sequence,
     chain = StabilizerChain(gens, k + g.degree, base=range(k))
     strong = chain.strong[k] if len(chain.base) > k else ()
     kernel = tuple(Permutation(tuple(y - k for y in s[k:])) for s in strong)
-    return GroupByGenerators(kernel, degree=g.degree,
-                             element_cap=g.element_cap)
+    return GroupByGenerators(kernel, degree=g.degree)
 
 
 def setwise_action(s: frozenset, p: Permutation) -> frozenset:

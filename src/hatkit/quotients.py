@@ -7,7 +7,7 @@ quotient, and the per-instance analysis record that chains them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Optional
 
@@ -31,17 +31,10 @@ from .perm import (
 
 @dataclass(frozen=True)
 class BlockSystem:
-    """A partition of the vertex set into equal-size blocks.
-
-    kind "AttachmentSets": the pairwise cycle intersections (block size a).
-    kind "ConstructionB": for even ell identical to the attachment sets;
-    for odd ell each attachment set splits into its two orientation-role
-    halves (block size a/2).  s is the half-step parameter (ell/2 or ell).
-    """
+    """A partition of the vertex set into equal-size blocks: the attachment
+    sets (block size a), or the half-step blocks of ``construction_b``."""
 
     blocks: tuple  # tuple of frozensets, ordered by least element
-    kind: str
-    s: int
 
     @property
     def block_count(self) -> int:
@@ -64,9 +57,7 @@ def _sorted_blocks(blocks) -> tuple:
 
 
 def attachment_partition(s: AltStructure) -> BlockSystem:
-    return BlockSystem(blocks=_sorted_blocks(s.attachment_sets),
-                       kind="AttachmentSets", s=s.ell // 2 if s.ell % 2 == 0
-                       else s.ell)
+    return BlockSystem(s.attachment_sets)
 
 
 def construction_b(s: AltStructure) -> BlockSystem:
@@ -79,8 +70,7 @@ def construction_b(s: AltStructure) -> BlockSystem:
     into its two role-halves of size a/2.
     """
     if s.ell % 2 == 0:
-        return BlockSystem(blocks=_sorted_blocks(s.attachment_sets),
-                           kind="ConstructionB", s=s.ell // 2)
+        return attachment_partition(s)
     blocks = []
     for aset in s.attachment_sets:
         c1, c2 = sorted({cid for v in aset for cid, _ in s.incidence[v]})
@@ -91,20 +81,18 @@ def construction_b(s: AltStructure) -> BlockSystem:
                 {"attachment_set": sorted(aset),
                  "reason": "role halves of unequal size"})
         blocks.extend([half_t, half_h])
-    return BlockSystem(blocks=_sorted_blocks(blocks), kind="ConstructionB",
-                       s=s.ell)
+    return BlockSystem(_sorted_blocks(blocks))
 
 
 @dataclass(frozen=True)
 class QuotientGraph:
-    """Simple quotient on the blocks, remembering how many original edges
-    lie over each quotient edge.  degenerate flags the cycle-with-doubled-
+    """Simple quotient on the blocks, with the largest number of original
+    edges over one quotient edge.  degenerate flags the cycle-with-doubled-
     edges pattern, which is excluded from half-arc-transitivity analysis."""
 
     graph: Graph
     multiplicity: int
     degenerate: bool
-    edge_counts: dict = field(compare=False)  # quotient edge -> fiber size
 
 
 def quotient_graph(g: Graph, b: BlockSystem) -> QuotientGraph:
@@ -121,8 +109,7 @@ def quotient_graph(g: Graph, b: BlockSystem) -> QuotientGraph:
     mult = max(counts.values()) if counts else 0
     degenerate = (mult >= 2 and q.n >= 3 and q.is_connected
                   and q.is_regular(2))
-    return QuotientGraph(graph=q, multiplicity=mult, degenerate=degenerate,
-                         edge_counts=counts)
+    return QuotientGraph(graph=q, multiplicity=mult, degenerate=degenerate)
 
 
 def alt_graph(s: AltStructure) -> Graph:
@@ -131,23 +118,19 @@ def alt_graph(s: AltStructure) -> Graph:
         raise TooFewCyclesError(
             f"only {len(s.cycles)} alternating cycles; the cycle graph is "
             "degenerate when the two cycles exhaust the vertex set")
-    sets = s.cycle_sets
-    edges = []
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if sets[i] & sets[j]:
-                edges.append((i, j))
-    return build_graph(len(sets), edges)
+    return build_graph(len(s.cycles), s.cycle_pairs)
 
 
 def kernels(g: Graph, group: GroupByGenerators, s: AltStructure) -> dict:
     """The three setwise-fixing kernels: on the alternating cycles, on the
-    half-step blocks, and on the attachment sets."""
+    half-step blocks, and on the attachment sets.  For even ell the
+    half-step blocks are the attachment sets, so K_A is K_B."""
     k_alt = action_kernel(
         group, s.cycle_edge_sets,
         lambda es, p: frozenset(edge_key(p(u), p(v)) for u, v in es))
     k_b = action_kernel(group, construction_b(s).blocks, setwise_action)
-    k_a = action_kernel(group, attachment_partition(s).blocks, setwise_action)
+    k_a = k_b if s.ell % 2 == 0 else action_kernel(
+        group, attachment_partition(s).blocks, setwise_action)
     return {"K_alt": k_alt, "K_B": k_b, "K_A": k_a}
 
 
@@ -164,8 +147,6 @@ class KernelCase:
 def _is_cyclic_of(tag: StructureTag, k: int) -> bool:
     if k == 1:
         return tag.kind == "Trivial"
-    if k == 2:
-        return tag.kind == "Cyclic" and tag.param == 2
     return tag.kind == "Cyclic" and tag.param == k
 
 
@@ -224,8 +205,7 @@ def quotient_action(group: GroupByGenerators, b: BlockSystem,
                     f"{sorted(img)}")
             images[k] = index[img]
         gens.append(Permutation(tuple(images)))
-    induced = GroupByGenerators(tuple(gens), degree=len(b.blocks),
-                                element_cap=group.element_cap)
+    induced = GroupByGenerators(tuple(gens), degree=len(b.blocks))
     if kernel is not None:
         expect = group.order() // kernel.order()
         if induced.order() != expect:
@@ -260,15 +240,13 @@ def psi_isomorphism(s: AltStructure, b: BlockSystem,
         used.add(q_sets[image])
     if len(used) != len(quotient_alt.cycles) or len(mapping) != len(s.cycles):
         raise InconsistentError({"reason": "cycle map is not a bijection"})
-    sets = s.cycle_sets
-    q_cycle_sets = quotient_alt.cycle_sets
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            here = bool(sets[i] & sets[j])
-            there = bool(q_cycle_sets[mapping[i]] & q_cycle_sets[mapping[j]])
-            if here != there:
-                raise InconsistentError(
-                    {"pair": (i, j), "reason": "adjacency not preserved"})
+    back = {v: k for k, v in mapping.items()}
+    moved = {edge_key(mapping[i], mapping[j]) for i, j in s.cycle_pairs}
+    broken = moved ^ set(quotient_alt.cycle_pairs)
+    if broken:
+        raise InconsistentError(
+            {"pair": min(edge_key(back[x], back[y]) for x, y in broken),
+             "reason": "adjacency not preserved"})
     return mapping
 
 

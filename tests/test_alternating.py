@@ -203,12 +203,12 @@ class TestJumpLemmas:
                            (build_xe, XeParams(4, 20, 3, 10))):
             g, grp = builder(p)
             og = oriented(g, grp)
-            ok, witness = check_mult_lemma(analyze(og), og)
+            ok, witness = check_mult_lemma(analyze(og))
             assert ok and witness is None
 
     def test_mult_lemma_vacuous_for_loose(self):
         og = loose_orientation(7)
-        ok, witness = check_mult_lemma(analyze(og), og)
+        ok, witness = check_mult_lemma(analyze(og))
         assert ok and witness is None
 
 
@@ -294,7 +294,7 @@ class TestBuildRho:
         s = analyze(og)
         gamma = grp.identity
         with pytest.raises(PreconditionFailedError):
-            build_rho(og, s, grp, gamma)
+            build_rho(og, s, gamma)
 
     def test_rejects_small_attachment(self):
         from hatkit.autsearch import automorphism_group
@@ -305,4 +305,4 @@ class TestBuildRho:
         og = oriented(g, grp)
         s = analyze(og)
         with pytest.raises(PreconditionFailedError):
-            build_rho(og, s, grp, grp.identity)
+            build_rho(og, s, grp.identity)

@@ -138,6 +138,17 @@ class TestBundles:
         with pytest.raises(ParseError):
             bundle_from_json(json.dumps({"edges": []}))
 
+    @pytest.mark.parametrize("doc, error", [
+        ({"n": "x", "edges": []}, ParseError),
+        ({"n": 4, "edges": 5}, ParseError),
+        ({"n": 4, "edges": [], "generators": 7}, ParseError),
+        ({"n": 3, "edges": [], "generators": [[0, "a", 2]]},
+         BadPermutationError),
+    ])
+    def test_wrong_types(self, doc, error):
+        with pytest.raises(error):
+            bundle_from_json(json.dumps(doc))
+
     def test_degree_mismatch(self):
         doc = {"n": 4, "edges": [[0, 1]], "generators": [[1, 0]]}
         with pytest.raises(BadPermutationError):

@@ -1,6 +1,7 @@
 import json
 import random
 
+import networkx as nx
 import pytest
 from sympy.combinatorics import Permutation as SymPerm, PermutationGroup
 
@@ -21,6 +22,7 @@ from hatkit.harness import (
     run_suites,
 )
 from hatkit.perm import GroupByGenerators, Permutation, setwise_action
+from oracles import closure
 
 SMALL = GridConfig(xo_m=(3,), xo_r=(5, 7, 9), xe_m=(4,), xe_r=(4, 6),
                    wreath_n=(3, 4))
@@ -102,9 +104,10 @@ class TestSuites:
 
 
 class TestPoolOracles:
-    """The stabilizer chains and kernels of every small-grid group (order at
-    most 120) against independent oracles: sympy, and filtering the listed
-    elements."""
+    """The stabilizer chains, kernels and cycle intersections of every
+    small-grid instance (group order at most 120) against independent
+    oracles: sympy, the breadth-first closure of the generators, and
+    intersecting the cycles' vertex sets."""
 
     def test_order_and_membership_match_sympy(self):
         for key, rec in harness.instance_pool(SMALL):
@@ -127,7 +130,7 @@ class TestPoolOracles:
 
     def test_kernels_match_filtered_elements(self):
         def fixing(group, objects, act):
-            return frozenset(p for p in group.elements()
+            return frozenset(p for p in closure(group)
                              if all(act(obj, p) == obj for obj in objects))
 
         def edge_set_act(es, p):
@@ -147,6 +150,23 @@ class TestPoolOracles:
             assert got == want, key
             assert rec.kernels_equal == (
                 want["K_alt"] == want["K_B"] == want["K_A"]), key
+
+    def test_elements_match_closure(self):
+        for key, rec in harness.instance_pool(SMALL):
+            listed = rec.group.elements()
+            assert listed == closure(rec.group), key
+            assert len(listed) == rec.group.order(), key
+
+    def test_cycle_pairs_match_intersections(self):
+        for key, rec in harness.instance_pool(SMALL):
+            s = rec.structure
+            sets = [frozenset(c) for c in s.cycles]
+            meets = {(i, j): sets[i] & sets[j]
+                     for i in range(len(sets))
+                     for j in range(i + 1, len(sets)) if sets[i] & sets[j]}
+            assert s.cycle_pairs == tuple(sorted(meets)), key
+            assert sorted(meets.values(), key=min) == list(s.attachment_sets), key
+            assert {len(m) for m in meets.values()} == {s.attachment}, key
 
 
 class TestIngest:
@@ -331,6 +351,31 @@ class TestCli:
 
     def test_invalid_params_exit_code(self, capsys):
         assert cli.main(["analyze", "xo:3,8,2"]) == 3
+
+    BAD_INPUT = {
+        "loop.txt": "3 1\n1 1\n",
+        # a graph6 file must hold exactly one graph
+        "two-graphs.g6": 2 * (graph6_encode(build_wreath(4)) + "\n"),
+        # the multigraph {0-1, 0-1, 2-3}, ":C_y"
+        "repeated-edge.s6": nx.to_sparse6_bytes(
+            nx.MultiGraph([(0, 1), (0, 1), (2, 3)]), header=False).decode(),
+        "duplicate.txt": "3 2\n0 1\n1 0\n",
+        "not-bijection.json": json.dumps(
+            {"n": 3, "edges": [[0, 1]], "generators": [[0, 0, 1]]}),
+        "wrong-size.json": json.dumps(
+            {"n": 3, "edges": [[0, 1]], "generators": [[1, 0]]}),
+    }
+
+    @pytest.mark.parametrize("spec, code", [
+        *((name, 2) for name in sorted(BAD_INPUT)),
+        ("circ:8:0", 3),
+    ])
+    def test_bad_input_exit_codes(self, spec, code, tmp_path, capsys):
+        if spec in self.BAD_INPUT:
+            (tmp_path / spec).write_text(self.BAD_INPUT[spec])
+            spec = str(tmp_path / spec)
+        assert cli.main(["analyze", spec]) == code
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

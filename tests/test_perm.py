@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 from sympy.combinatorics import Permutation as SymPerm, PermutationGroup
 
+from hatkit import perm
 from hatkit.errors import (
     BadPermutationError,
     BlocksNotInvariantError,
@@ -14,6 +15,7 @@ from hatkit.perm import (
     group_structure,
     setwise_action,
 )
+from oracles import closure
 
 
 def perm_strategy(n):
@@ -49,7 +51,7 @@ def groups_with_candidates(draw):
 
 def enumerated_structure(g):
     """The oracle: recognition from the full element list."""
-    elems = g.elements()
+    elems = closure(g)
     n = len(elems)
     orders = {p: p.order() for p in elems}
     if n == 1:
@@ -111,9 +113,10 @@ class TestGroup:
         gens = (Permutation((1, 0, 2)), Permutation((1, 2, 0)))
         assert GroupByGenerators(gens).order() == 6
 
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
+        monkeypatch.setattr(perm, "ELEMENT_CAP", 10)
         gens = (Permutation((1, 0, 2, 3, 4)), Permutation((1, 2, 3, 4, 0)))
-        g = GroupByGenerators(gens, element_cap=10)
+        g = GroupByGenerators(gens)
         with pytest.raises(CapExceededError,
                            match="degree 5 on 2 generators exceeds the "
                                  "element cap 10"):
@@ -142,7 +145,7 @@ class TestGroup:
         k = action_kernel(g, blocks, setwise_action)
         assert k.order() == 4
         assert all(setwise_action(b, p) == b for b in blocks
-                   for p in k.elements())
+                   for p in closure(k))
 
     def test_action_kernel_rejects_objects_not_permuted(self):
         g = GroupByGenerators((cyclic_perm(4),))
@@ -160,11 +163,19 @@ class TestChain:
         assert member in g
         assert (other in g) == oracle.contains(SymPerm(list(other.images)))
 
-    def test_order_and_membership_past_element_cap(self):
+    def test_order_and_membership_past_element_cap(self, monkeypatch):
+        monkeypatch.setattr(perm, "ELEMENT_CAP", 10)
         g = GroupByGenerators((Permutation((1, 0, 2, 3, 4, 5, 6, 7)),
-                               cyclic_perm(8)), element_cap=10)
+                               cyclic_perm(8)))
         assert g.order() == 40320
         assert cyclic_perm(8).inverse() in g and g._elements is None
+
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(perm_strategy(n), max_size=3).map(
+            lambda gens: GroupByGenerators(tuple(gens), degree=n))))
+    def test_elements_match_closure(self, g):
+        listed = g.elements()
+        assert listed == closure(g) and len(listed) == g.order()
 
     def test_other_degree_is_not_a_member(self):
         assert Permutation.identity(3) not in GroupByGenerators.trivial(4)

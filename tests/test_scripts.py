@@ -1,0 +1,34 @@
+"""Smoke tests: the scripts under scripts/ run against the library as it
+is, so a changed signature cannot silently break them."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from test_harness import SMALL
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_search_circulant_actions():
+    found = load("search_circulant_actions").scan(30)
+    assert found
+    assert {kind for _r, _a, kind in found} <= {"tight", "degenerate"}
+
+
+def test_survey_instances(monkeypatch, capsys):
+    survey = load("survey_instances")
+    monkeypatch.setattr(sys, "argv", ["survey_instances.py"])
+    monkeypatch.setattr(survey, "GridConfig", lambda extra_files: SMALL)
+    survey.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:3] == ["instance", "n", "r"]
+    assert len(lines) == 1 + sum(1 for _ in survey.instance_pool(SMALL))
+    assert not any("error" in line for line in lines)
