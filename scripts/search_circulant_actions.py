@@ -33,8 +33,8 @@ def scan(max_n: int):
                     continue
                 rot = Permutation.from_mapping(n, lambda x: (x + 1) % n)
                 mul = Permutation.from_mapping(n, lambda x: (k * x) % n)
-                cert = certify_hat(g, GroupByGenerators((rot, mul)))
-                s = alternating.analyze(cert.orientation)
+                og = certify_hat(g, GroupByGenerators((rot, mul)))
+                s = alternating.analyze(og)
             except HatkitError:
                 continue
             key = (s.radius, s.attachment, s.attachment_kind)

@@ -86,8 +86,9 @@ class AltStructure:
     q_t: int
     q_h: int
     jum: int
-    incidence: dict = field(compare=False)  # vertex -> ((cid, pos), (cid, pos))
-    tail_cycle: dict = field(compare=False)  # vertex -> cid where it is a tail
+    # vertex -> (tail cycle, tail position, head cycle, head position): the
+    # cycle on which the vertex is the tail of both arcs, and the other one
+    roles: dict = field(compare=False)
 
     @property
     def Q(self) -> frozenset:
@@ -97,7 +98,7 @@ class AltStructure:
     def cycle_pairs(self) -> tuple:
         """The pairs (i, j), i < j, of cycles that meet, in order.  Two cycles
         meet in exactly one attachment set, so there is one pair per set."""
-        return tuple(sorted(tuple(cid for cid, _pos in self.incidence[min(s)])
+        return tuple(sorted(_pair(self.roles[min(s)])
                             for s in self.attachment_sets))
 
     @property
@@ -139,15 +140,14 @@ class AltStructure:
         }
 
 
-def _vertex_roles(og: OrientedGraph, cycles) -> Tuple[dict, dict]:
-    """incidence: vertex -> tuple of (cycle id, position); tail_cycle:
-    vertex -> the cycle on which it is the tail of both incident arcs."""
-    incidence: Dict[int, list] = {}
-    tail_cycle: Dict[int, int] = {}
+def _vertex_roles(og: OrientedGraph, cycles) -> dict:
+    """vertex -> (tail cycle, tail position, head cycle, head position),
+    where the tail cycle is the one on which the vertex is the tail of
+    both incident arcs."""
+    places: Dict[int, list] = {}  # vertex -> [(is head, cid, pos)]
     for cid, cycle in enumerate(cycles):
         length = len(cycle)
         for pos, v in enumerate(cycle):
-            incidence.setdefault(v, []).append((cid, pos))
             prev_v = cycle[pos - 1]
             next_v = cycle[(pos + 1) % length]
             prev_head = og.head_of[edge_key(prev_v, v)]
@@ -155,47 +155,60 @@ def _vertex_roles(og: OrientedGraph, cycles) -> Tuple[dict, dict]:
             if (prev_head == v) != (next_head == v):
                 raise AlternatingStructureError(
                     f"cycle {cid} is not alternating at vertex {v}")
-            if prev_head != v:  # v is the tail of both arcs
-                if v in tail_cycle:
-                    raise AlternatingStructureError(
-                        f"vertex {v} is a double tail")
-                tail_cycle[v] = cid
-    for v, incs in incidence.items():
-        if len(incs) != 2 or incs[0][0] == incs[1][0]:
+            is_head = prev_head == v
+            seen = places.setdefault(v, [])
+            if not is_head and any(not h for h, _cid, _pos in seen):
+                raise AlternatingStructureError(
+                    f"vertex {v} is a double tail")
+            seen.append((is_head, cid, pos))
+    roles = {}
+    for v, seen in places.items():
+        if len(seen) != 2 or seen[0][1] == seen[1][1]:
             raise AlternatingStructureError(
                 f"vertex {v} does not lie on exactly two alternating cycles")
-        if v not in tail_cycle:
+        (tail_is_head, tc, tp), (_, hc, hp) = sorted(seen)
+        if tail_is_head:
             raise AlternatingStructureError(f"vertex {v} is a double head")
-    return ({v: tuple(incs) for v, incs in incidence.items()}, tail_cycle)
+        roles[v] = (tc, tp, hc, hp)
+    return roles
 
 
-def _jump_at(cycles, incidence, tail_cycle, v, ell, a):
-    """(q_t, q_h) measured at base vertex v."""
-    if a == 1:
-        return 0, 0
-    (c1, p1), (c2, p2) = incidence[v]
-    if tail_cycle[v] == c1:
-        tc, tp, hc, hp = c1, p1, c2, p2
-    else:
-        tc, tp, hc, hp = c2, p2, c1, p1
-    C, Cp = cycles[tc], cycles[hc]
-    length = len(C)
-    targets_t = {C[(tp + ell) % length], C[(tp - ell) % length]}
-    targets_h = {Cp[(hp + ell) % length], Cp[(hp - ell) % length]}
-    q_t = q_h = None
-    for q in range(1, a):
-        if q_t is None and {Cp[(hp + q * ell) % length],
-                            Cp[(hp - q * ell) % length]} & targets_t:
-            q_t = q
-        if q_h is None and {C[(tp + q * ell) % length],
-                            C[(tp - q * ell) % length]} & targets_h:
-            q_h = q
-        if q_t is not None and q_h is not None:
-            break
-    if q_t is None or q_h is None:
-        raise AlternatingStructureError(
-            f"jump parameters undefined at vertex {v}")
-    return q_t, q_h
+def _pair(role: tuple) -> tuple:
+    """The two cycles of a role, lesser first."""
+    tc, _tp, hc, _hp = role
+    return (tc, hc) if tc < hc else (hc, tc)
+
+
+def _position(roles: dict, v: int, cid: int) -> int:
+    """The position of v on cid, which must be one of v's two cycles."""
+    tc, tp, hc, hp = roles[v]
+    return tp if tc == cid else hp
+
+
+def _jump_at(cycles, roles, v, ell):
+    """(q_t, q_h) measured at base vertex v.
+
+    The attachment set of v's two cycles sits at every ell-th position of
+    each, so the vertices at attachment index +-1 from v on its tail cycle
+    lie on its head cycle too; q_t is the least |index| they have there,
+    and q_h is the same with the two cycles swapped.
+    """
+    tc, tp, hc, hp = roles[v]
+    length = len(cycles[tc])
+    a = length // ell
+
+    def least_step(cid, pos, other, other_pos):
+        step = a
+        for w in (cycles[cid][(pos + ell) % length],
+                  cycles[cid][(pos - ell) % length]):
+            if other not in _pair(roles[w]):
+                raise AlternatingStructureError(
+                    f"jump parameters undefined at vertex {v}")
+            i = (_position(roles, w, other) - other_pos) % length // ell
+            step = min(step, i, a - i)
+        return step
+
+    return least_step(tc, tp, hc, hp), least_step(hc, hp, tc, tp)
 
 
 def analyze(og: OrientedGraph) -> AltStructure:
@@ -215,13 +228,13 @@ def analyze(og: OrientedGraph) -> AltStructure:
     if length % 2 != 0:
         raise AlternatingStructureError(f"odd alternating cycle length {length}")
     radius = length // 2
-    incidence, tail_cycle = _vertex_roles(og, cycles)
+    roles = _vertex_roles(og, cycles)
 
     # every vertex lies on exactly two cycles, so the intersection of two
     # cycles is the set of vertices with that pair of cycles
     att_sets: Dict[tuple, set] = {}
-    for v, ((c1, _), (c2, _)) in incidence.items():
-        att_sets.setdefault((c1, c2), set()).add(v)
+    for v, role in roles.items():
+        att_sets.setdefault(_pair(role), set()).add(v)
     sizes = {len(s) for s in att_sets.values()}
     if len(sizes) != 1:
         raise AlternatingStructureError(
@@ -232,28 +245,27 @@ def analyze(og: OrientedGraph) -> AltStructure:
             f"attachment number {a} does not divide cycle length {2 * radius}")
     ell = 2 * radius // a
 
-    # Eq.-(1) spacing: on each incident cycle an attachment set sits at
+    # Eq.-(1) spacing: on each of its two cycles an attachment set sits at
     # positions p0 + i*ell
-    for (c1, c2), s in att_sets.items():
-        for cid in (c1, c2):
-            positions = sorted(pos for pos, v in enumerate(cycles[cid])
-                               if v in s)
-            base = positions[0]
-            if any((p - base) % ell != 0 for p in positions):
+    residues: Dict[tuple, int] = {}  # (cycle, other cycle) -> p0 mod ell
+    for v, (tc, tp, hc, hp) in roles.items():
+        for cid, pos, other in ((tc, tp, hc), (hc, hp, tc)):
+            if residues.setdefault((cid, other), pos % ell) != pos % ell:
+                c1, c2 = sorted((cid, other))
                 raise AlternatingStructureError(
                     f"attachment set of cycles {c1},{c2} not ell-spaced on {cid}")
 
     attachment_sets = tuple(sorted(map(frozenset, att_sets.values()), key=min))
-    vertices = sorted(incidence)
-    q_t, q_h = _jump_at(cycles, incidence, tail_cycle, vertices[0], ell, a)
+    vertices = sorted(roles)
+    q_t, q_h = _jump_at(cycles, roles, vertices[0], ell)
     for v in vertices[1:]:
-        if _jump_at(cycles, incidence, tail_cycle, v, ell, a) != (q_t, q_h):
+        if _jump_at(cycles, roles, v, ell) != (q_t, q_h):
             raise AlternatingStructureError(
                 f"jump parameters differ at vertex {v}")
     return AltStructure(
         cycles=tuple(cycles), radius=radius, attachment=a, ell=ell,
         attachment_sets=attachment_sets, q_t=q_t, q_h=q_h,
-        jum=min(q_t, q_h), incidence=incidence, tail_cycle=tail_cycle)
+        jum=min(q_t, q_h), roles=roles)
 
 
 def min_r_jump(q: int, r: int) -> int:
@@ -286,44 +298,18 @@ def check_mult_lemma(s: AltStructure):
     if a == 1:
         return True, None
     length = 2 * s.radius
-    for v in sorted(s.incidence):
-        (c1, p1), (c2, p2) = s.incidence[v]
-        if s.tail_cycle[v] == c1:
-            tc, tp, hc, hp = c1, p1, c2, p2
-        else:
-            tc, tp, hc, hp = c2, p2, c1, p1
+    for v in sorted(s.roles):
+        tc, tp, hc, hp = s.roles[v]
         C, Cp = s.cycles[tc], s.cycles[hc]
-
-        def idx(cycle, p0, i, sign):
-            return cycle[(p0 + sign * i) % length]
-
-        ok_t = False
-        for sc in (1, -1):  # direction of C
-            for sp in (1, -1):  # direction of C'
-                if idx(Cp, hp, s.q_t * ell, sp) != idx(C, tp, ell, sc):
-                    continue
-                if all(idx(C, tp, i * ell, sc) == idx(Cp, hp, i * s.q_t * ell, sp)
-                       for i in range(a)):
-                    ok_t = True
-                    break
-            if ok_t:
-                break
-        if not ok_t:
-            return False, {"vertex": v, "which": "q_t"}
-
-        ok_h = False
-        for sc in (1, -1):
-            for sp in (1, -1):
-                if idx(C, tp, s.q_h * ell, sc) != idx(Cp, hp, ell, sp):
-                    continue
-                if all(idx(Cp, hp, i * ell, sp) == idx(C, tp, i * s.q_h * ell, sc)
-                       for i in range(a)):
-                    ok_h = True
-                    break
-            if ok_h:
-                break
-        if not ok_h:
-            return False, {"vertex": v, "which": "q_h"}
+        # reading both cycles backwards gives the same test, so only the
+        # relative direction sign matters
+        for X, x0, Y, y0, q, which in ((C, tp, Cp, hp, s.q_t, "q_t"),
+                                       (Cp, hp, C, tp, s.q_h, "q_h")):
+            if not any(all(X[(x0 + i * ell) % length]
+                           == Y[(y0 + sign * i * q * ell) % length]
+                           for i in range(a))
+                       for sign in (1, -1)):
+                return False, {"vertex": v, "which": which}
     return True, None
 
 
@@ -338,9 +324,9 @@ def antipodal_tau(og: OrientedGraph, s: AltStructure) -> Optional[Permutation]:
     r = s.radius
     length = 2 * r
     images = {}
-    for v, ((c1, p1), (c2, p2)) in s.incidence.items():
-        w1 = s.cycles[c1][(p1 + r) % length]
-        w2 = s.cycles[c2][(p2 + r) % length]
+    for v, (tc, tp, hc, hp) in s.roles.items():
+        w1 = s.cycles[tc][(tp + r) % length]
+        w2 = s.cycles[hc][(hp + r) % length]
         if w1 != w2:
             return None
         images[v] = w1
@@ -362,11 +348,11 @@ def rotation_profile(gamma: Permutation, s: AltStructure) -> dict:
         cset = frozenset(cycle)
         if frozenset(gamma(v) for v in cycle) != cset:
             raise NotCyclePreservingError(f"cycle {cid} not fixed setwise")
-        pos = {v: i for i, v in enumerate(cycle)}
-        k = (pos[gamma(cycle[0])] - 0) % length
-        if all(pos[gamma(cycle[j])] == (j + k) % length for j in range(length)):
+        images = [_position(s.roles, gamma(v), cid) for v in cycle]
+        k = images[0]
+        if all(p == (j + k) % length for j, p in enumerate(images)):
             profile[cid] = ("rotation", k)
-        elif all(pos[gamma(cycle[j])] == (k - j) % length for j in range(length)):
+        elif all(p == (k - j) % length for j, p in enumerate(images)):
             profile[cid] = ("reflection", k)
         else:
             raise NotCyclePreservingError(

@@ -1,5 +1,5 @@
 """Simple undirected graphs, arcs, group-induced orientations and the
-half-arc-transitivity certificate.
+half-arc-transitivity check.
 
 Edges are stored as unordered pairs (u, v) with u < v; arcs as ordered
 pairs.  Graphs are immutable after construction.
@@ -89,8 +89,11 @@ def build_graph(n: int, edge_list) -> Graph:
     """Build a Graph from an edge list, rejecting loops and duplicates.
 
     Disconnected graphs are representable (analysis operations reject them
-    later); endpoints out of range are a ValueError.
+    later); a negative vertex count or an endpoint out of range is a
+    ValueError.
     """
+    if n < 0:
+        raise ValueError(f"negative vertex count {n}")
     adj = [[] for _ in range(n)]
     seen = set()
     for u, v in edge_list:
@@ -204,19 +207,10 @@ def orientation_from_arcs(g: Graph, arcs) -> OrientedGraph:
     return OrientedGraph(g, head_of)
 
 
-@dataclass(frozen=True)
-class HatCertificate:
-    """Witness that (graph, group) is a half-arc-transitive pair, together
-    with the group-induced orientation (the arc orbit containing the
-    lexicographically least arc)."""
-
-    group: GroupByGenerators = field(compare=False)
-    orientation: OrientedGraph = field(compare=False)
-
-
-def certify_hat(graph: Graph, group: GroupByGenerators) -> HatCertificate:
+def certify_hat(graph: Graph, group: GroupByGenerators) -> OrientedGraph:
     """Check that the group acts half-arc-transitively on the graph and
-    return the induced orientation.
+    return the induced orientation: the arc orbit containing the
+    lexicographically least arc.
 
     Generators are verified to be automorphisms rather than trusted.
     Raises NotAutomorphismError / NotVertexTransitiveError /
@@ -249,5 +243,4 @@ def certify_hat(graph: Graph, group: GroupByGenerators) -> HatCertificate:
         per_edge[key] = h
     if set(per_edge) != graph.edge_set:
         raise NotEdgeTransitiveError("arc orbit misses some edges")
-    orientation = OrientedGraph(graph, per_edge)
-    return HatCertificate(group=group, orientation=orientation)
+    return OrientedGraph(graph, per_edge)

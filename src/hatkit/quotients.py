@@ -73,14 +73,13 @@ def construction_b(s: AltStructure) -> BlockSystem:
         return attachment_partition(s)
     blocks = []
     for aset in s.attachment_sets:
-        c1, c2 = sorted({cid for v in aset for cid, _ in s.incidence[v]})
-        half_t = frozenset(v for v in aset if s.tail_cycle[v] == c1)
-        half_h = aset - half_t
-        if len(half_t) != len(half_h):
+        tail = s.roles[min(aset)][0]
+        half = frozenset(v for v in aset if s.roles[v][0] == tail)
+        if 2 * len(half) != len(aset):
             raise InconsistentError(
                 {"attachment_set": sorted(aset),
                  "reason": "role halves of unequal size"})
-        blocks.extend([half_t, half_h])
+        blocks.extend([half, aset - half])
     return BlockSystem(_sorted_blocks(blocks))
 
 
@@ -261,7 +260,7 @@ def thm_pipeline(rec: Analysis) -> dict:
 
     For even radius with a = 2, the group is first extended by the
     antipodal automorphism when that exists outside the group.  The
-    record's certificate, structure and block kernel are reused; only the
+    record's orientation, structure and block kernel are reused; only the
     extended group and the quotient are certified and analysed afresh.
     """
     s = rec.structure
@@ -339,7 +338,7 @@ class Analysis:
 
     @cached_property
     def orientation(self) -> OrientedGraph:
-        return certify_hat(self.graph, self.group).orientation
+        return certify_hat(self.graph, self.group)
 
     @cached_property
     def structure(self) -> AltStructure:

@@ -15,3 +15,27 @@ def closure(group) -> frozenset:
                 seen.add(q)
                 frontier.append(q)
     return frozenset(seen)
+
+
+def jump_at(og, cycles, v, ell):
+    """(q_t, q_h) at v by search: q_t is the least q in 1..a-1 such that a
+    vertex q attachment steps from v along its head cycle, in either
+    direction, is one attachment step from v along its tail cycle; q_h
+    swaps the two cycles.  v's tail cycle, on which it is the tail of both
+    arcs, is read off the orientation."""
+    a = len(cycles[0]) // ell
+    if a == 1:
+        return 0, 0
+    on = [(c, c.index(v)) for c in cycles if v in c]
+    (C, tp), (Cp, hp) = sorted(
+        on, key=lambda cp: og.head_of[tuple(sorted((v, cp[0][cp[1] - 1])))]
+        == v)
+    length = len(C)
+
+    def least(X, x0, Y, y0):
+        targets = {X[(x0 + ell) % length], X[(x0 - ell) % length]}
+        return min(q for q in range(1, a)
+                   if {Y[(y0 + q * ell) % length],
+                       Y[(y0 - q * ell) % length]} & targets)
+
+    return least(C, tp, Cp, hp), least(Cp, hp, C, tp)

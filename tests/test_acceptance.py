@@ -33,8 +33,7 @@ def report(criterion, ok, extra=""):
 
 
 def full_pipeline(g, grp):
-    cert = certify_hat(g, grp)
-    s = analyze(cert.orientation)
+    s = analyze(certify_hat(g, grp))
     ks = quotients.kernels(g, grp, s)
     return s, ks
 
@@ -58,10 +57,10 @@ def test_criterion_02_jump_pair_values():
     results = []
     for t in (0, 10):
         g, grp = build_xe(XeParams(4, 20, 3, t))
-        s = analyze(certify_hat(g, grp).orientation)
+        s = analyze(certify_hat(g, grp))
         results.append(s.attachment == 20 and s.Q == {3, 7})
     g, grp = build_xo(XoParams(3, 13, 3))
-    s = analyze(certify_hat(g, grp).orientation)
+    s = analyze(certify_hat(g, grp))
     results.append(s.attachment == 13 and s.jum == 3)
     elapsed = time.monotonic() - t0
     ok = all(results) and elapsed < 10.0
@@ -155,16 +154,15 @@ def test_criterion_11_square_root_machinery():
     ok = rep.passed and rep.counts()["pass"] > 0
     # precondition violations must fire on constructed counter-inputs
     g, grp = build_xo(XoParams(3, 9, 2))  # a = r: divisibility clause
-    cert = certify_hat(g, grp)
-    s = analyze(cert.orientation)
+    og = certify_hat(g, grp)
+    s = analyze(og)
     with pytest.raises(PreconditionFailedError):
-        build_rho(cert.orientation, s, grp.identity)
+        build_rho(og, s, grp.identity)
     k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
     ag, agrp = build_cubic_arc_graph(k4, autsearch.automorphism_group(k4))
-    acert = certify_hat(ag, agrp)
+    aog = certify_hat(ag, agrp)
     with pytest.raises(PreconditionFailedError):  # a = 2: size clause
-        build_rho(acert.orientation, analyze(acert.orientation),
-                  agrp.identity)
+        build_rho(aog, analyze(aog), agrp.identity)
     report("11 square-root machinery", ok,
            f"{rep.counts()['pass']} property instances, negatives fired")
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from hatkit.alternating import (
@@ -35,11 +37,14 @@ from hatkit.graphcore import (
     orientation_from_arcs,
     reverse_orientation,
 )
+from hatkit.harness import instance_pool
 from hatkit.quotients import kernels
+from oracles import jump_at
+from test_harness import SMALL
 
 
 def oriented(g, grp):
-    return certify_hat(g, grp).orientation
+    return certify_hat(g, grp)
 
 
 def analyzed(builder, p):
@@ -187,6 +192,18 @@ class TestAnalyze:
                            match="jump parameters differ at vertex 1"):
             analyze(og)
 
+    def test_jump_pair_matches_search_oracle(self):
+        orientations = [("loose", loose_orientation(7))]
+        for key, rec in instance_pool(SMALL):
+            orientations += [(key, rec.orientation),
+                             (key + " reversed",
+                              reverse_orientation(rec.orientation))]
+        for key, og in orientations:
+            s = analyze(og)
+            for v in range(og.graph.n):
+                assert jump_at(og, s.cycles, v, s.ell) == (s.q_t, s.q_h), \
+                    (key, v)
+
 
 class TestJumpLemmas:
     def test_grid_jump_formula(self):
@@ -205,6 +222,16 @@ class TestJumpLemmas:
             og = oriented(g, grp)
             ok, witness = check_mult_lemma(analyze(og))
             assert ok and witness is None
+
+    def test_mult_lemma_witness(self):
+        _g, _grp, s = analyzed(build_xo, XoParams(3, 9, 2))
+        assert (s.q_t, s.q_h) == (2, 4)
+        assert check_mult_lemma(dataclasses.replace(s, q_t=4)) == (
+            False, {"vertex": 0, "which": "q_t"})
+        assert check_mult_lemma(dataclasses.replace(s, q_h=2)) == (
+            False, {"vertex": 0, "which": "q_h"})
+        # -q_t reads the head cycle the other way round
+        assert check_mult_lemma(dataclasses.replace(s, q_t=7)) == (True, None)
 
     def test_mult_lemma_vacuous_for_loose(self):
         og = loose_orientation(7)

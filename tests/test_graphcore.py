@@ -107,8 +107,8 @@ class TestOrientedGraph:
 class TestCertifyHat:
     def test_wreath_pair_is_certified(self):
         n = 5
-        cert = certify_hat(build_wreath(n), wreath_hat_group(n))
-        assert len(cert.orientation.arc_set) == 4 * n
+        og = certify_hat(build_wreath(n), wreath_hat_group(n))
+        assert len(og.arc_set) == 4 * n
 
     def test_bad_generator(self):
         g = build_wreath(4)
@@ -140,6 +140,6 @@ class TestCertifyHat:
             certify_hat(g, rot)
 
     def test_orientation_covers_each_edge_once(self):
-        cert = certify_hat(build_wreath(6), wreath_hat_group(6))
-        covered = {edge_key(t, h) for t, h in cert.orientation.arc_set}
-        assert covered == cert.orientation.graph.edge_set
+        og = certify_hat(build_wreath(6), wreath_hat_group(6))
+        covered = {edge_key(t, h) for t, h in og.arc_set}
+        assert covered == og.graph.edge_set

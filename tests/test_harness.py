@@ -364,6 +364,8 @@ class TestCli:
             {"n": 3, "edges": [[0, 1]], "generators": [[0, 0, 1]]}),
         "wrong-size.json": json.dumps(
             {"n": 3, "edges": [[0, 1]], "generators": [[1, 0]]}),
+        "negative-n.txt": "-1 0\n",
+        "negative-n.json": json.dumps({"n": -1, "edges": []}),
     }
 
     @pytest.mark.parametrize("spec, code", [

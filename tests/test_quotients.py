@@ -41,7 +41,7 @@ from oracles import closure
 
 
 def analyzed(g, grp):
-    return analyze(certify_hat(g, grp).orientation)
+    return analyze(certify_hat(g, grp))
 
 
 def k4_arc_instance():
@@ -55,7 +55,7 @@ def stub_structure(r, a):
     that have no desk-scale instance."""
     return AltStructure(cycles=(), radius=r, attachment=a, ell=2 * r // a,
                         attachment_sets=(), q_t=1, q_h=1, jum=1,
-                        incidence={}, tail_cycle={})
+                        roles={})
 
 
 def cyclic_group(k, degree=None):
@@ -228,7 +228,7 @@ class TestPsi:
         b = construction_b(s)
         q = quotient_graph(g, b)
         induced = quotient_action(grp, b)
-        q_s = analyze(certify_hat(q.graph, induced).orientation)
+        q_s = analyze(certify_hat(q.graph, induced))
         mapping = psi_isomorphism(s, b, q_s)
         assert sorted(mapping) == list(range(len(s.cycles)))
         assert sorted(set(mapping.values())) == list(range(len(q_s.cycles)))
