@@ -1,16 +1,19 @@
 """Exact automorphism groups, canonical forms and isomorphism testing via
 equitable-partition refinement with individualization backtracking.
 
-Deterministic choices throughout: the target cell is the first smallest
-non-singleton cell, branching tries vertices in increasing order, and the
-canonical certificate is the lexicographically least relabeled edge tuple
-over all search leaves.  Discovered automorphisms prune branches whose
-individualized vertex lies in the orbit of an earlier branch under the
-subgroup fixing the current prefix.
+Refinement splits cells against a queue of splitter cells (Hopcroft 1971;
+McKay 1981).  Deterministic choices throughout: the target cell is the
+first smallest non-singleton cell, branching tries vertices in increasing
+order, and the canonical certificate is the lexicographically least
+relabeled edge tuple over all search leaves.  Each search node keeps, in
+one union-find, the orbits of the automorphisms found so far that fix its
+prefix, and skips a branch whose vertex lies in the orbit of an earlier
+branch.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -28,10 +31,18 @@ class CanonicalForm:
 
 
 class _Search:
+    """One backtracking search over ordered partitions of range(n).
+
+    A partition is held as ``lab``, the vertices listed cell by cell,
+    ``length``, where ``length[s]`` is the size of the cell starting at
+    position s, and ``start_of[v]``, the start of v's cell.  A cell is
+    named by its start position, which no split moves.
+    """
+
     def __init__(self, g: Graph, budget: int):
         self.g = g
         self.n = g.n
-        self.adj = [frozenset(nbrs) for nbrs in g.adjacency]
+        self.adj = g.adjacency
         self.budget = budget
         self.nodes = 0
         self.auts: list = []  # image tuples of discovered automorphisms
@@ -41,108 +52,146 @@ class _Search:
 
     # -- equitable refinement ------------------------------------------------
 
-    def refine(self, cells):
-        """Iterate neighbor-count splitting to a fixpoint; order-stable."""
-        cells = [tuple(c) for c in cells]
-        while True:
-            index = {}
-            for k, cell in enumerate(cells):
-                for v in cell:
-                    index[v] = k
-            changed = False
-            out = []
-            for cell in cells:
-                if len(cell) == 1:
-                    out.append(cell)
+    def unit(self):
+        """The partition with one cell, queued: its first split is by
+        degree."""
+        n = self.n
+        return list(range(n)), [n] * n, [0] * n, [0][:n]
+
+    @staticmethod
+    def individualized(lab, length, start_of, v):
+        """A copy of the partition with v split off, as a singleton placed
+        before the rest of its cell, and the singleton queued."""
+        lab, length, start_of = lab[:], length[:], start_of[:]
+        s = start_of[v]
+        rest = [w for w in lab[s:s + length[s]] if w != v]
+        lab[s:s + length[s]] = [v] + rest
+        length[s + 1] = length[s] - 1
+        length[s] = 1
+        for w in rest:
+            start_of[w] = s + 1
+        return lab, length, start_of, [s]
+
+    def refine(self, lab, length, start_of, queue):
+        """Split cells in place against the queued splitter cells until the
+        partition is equitable.
+
+        A splitter splits each cell it touches by the number of neighbours
+        its vertices have in it, fragments in increasing count.  A split
+        cell that is still queued queues its new fragments; otherwise every
+        fragment but the first largest is queued.  Every decision reads
+        positions, sizes and counts, never vertex labels, so the ordered
+        partition commutes with relabelling.
+        """
+        adj = self.adj
+        queue = deque(queue)
+        queued = set(queue)
+        while queue:
+            s = queue.popleft()
+            queued.discard(s)
+            count = {}
+            for w in lab[s:s + length[s]]:
+                for v in adj[w]:
+                    count[v] = count.get(v, 0) + 1
+            touched = {}
+            for v in count:
+                touched.setdefault(start_of[v], []).append(v)
+            for c in sorted(touched):
+                size = length[c]
+                if size == 1:
                     continue
-                sig = {}
-                for v in cell:
-                    counts = [0] * len(cells)
-                    for w in self.adj[v]:
-                        counts[index[w]] += 1
-                    sig.setdefault(tuple(counts), []).append(v)
-                if len(sig) == 1:
-                    out.append(cell)
+                hit = touched[c]
+                groups = {}
+                for v in hit:
+                    groups.setdefault(count[v], []).append(v)
+                if len(hit) < size:
+                    groups[0] = [v for v in lab[c:c + size] if v not in count]
+                if len(groups) == 1:
+                    continue
+                pos = c
+                fragments = []
+                for k in sorted(groups):
+                    fragment = groups[k]
+                    lab[pos:pos + len(fragment)] = fragment
+                    length[pos] = len(fragment)
+                    for v in fragment:
+                        start_of[v] = pos
+                    fragments.append(pos)
+                    pos += len(fragment)
+                if c in queued:
+                    fragments = fragments[1:]
                 else:
-                    changed = True
-                    for key in sorted(sig):
-                        out.append(tuple(sorted(sig[key])))
-            cells = out
-            if not changed:
-                return cells
+                    fragments.remove(max(fragments, key=length.__getitem__))
+                queue.extend(fragments)
+                queued.update(fragments)
 
     # -- search --------------------------------------------------------------
 
     def run(self):
-        degrees = {}
-        for v in range(self.n):
-            degrees.setdefault(len(self.adj[v]), []).append(v)
-        initial = [tuple(sorted(degrees[d])) for d in sorted(degrees)]
-        self._node(initial, prefix=())
+        self._node(*self.unit(), prefix=())
 
-    def _node(self, cells, prefix):
+    def _node(self, lab, length, start_of, queue, prefix):
         self.nodes += 1
         if self.nodes > self.budget:
             raise SearchBudgetExceededError(
                 f"search exceeded {self.budget} nodes")
-        cells = self.refine(cells)
-        target = None
-        for k, cell in enumerate(cells):
-            if len(cell) > 1 and (target is None
-                                  or len(cell) < len(cells[target])):
-                target = k
+        self.refine(lab, length, start_of, queue)
+        target, pos = None, 0
+        while pos < self.n:
+            if length[pos] > 1 and (target is None
+                                    or length[pos] < length[target]):
+                target = pos
+            pos += length[pos]
         if target is None:
-            self._leaf(cells)
+            self._leaf(lab)
             return
-        tried = []
-        for v in cells[target]:
-            if self._pruned(v, tried, prefix):
-                continue
-            tried.append(v)
-            branched = (cells[:target] + [(v,)]
-                        + [tuple(w for w in cells[target] if w != v)]
-                        + cells[target + 1:])
-            self._node(branched, prefix + (v,))
+        # union-find over the points: the orbits, under the automorphisms
+        # found so far that fix the prefix, joined with the branches tried.
+        # Such an automorphism fixes the refined partition, so it maps the
+        # target cell onto itself and the cell's points suffice.
+        orbit = list(range(self.n))
 
-    def _pruned(self, v, tried, prefix):
-        if not tried:
-            return False
-        stab = [a for a in self.auts
-                if all(a[x] == x for x in prefix)]
-        if not stab:
-            return False
-        seen = set(tried)
-        frontier = list(tried)
-        while frontier:
-            x = frontier.pop()
-            if x == v:
-                return True
-            for a in stab:
-                y = a[x]
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return v in seen
+        def find(x):
+            while orbit[x] != x:
+                orbit[x] = orbit[orbit[x]]
+                x = orbit[x]
+            return x
 
-    def _leaf(self, cells):
+        cell = sorted(lab[target:target + length[target]])
+        added, first = 0, None
+        for v in cell:
+            for a in self.auts[added:]:
+                if all(a[x] == x for x in prefix):
+                    for x in cell:
+                        orbit[find(a[x])] = find(x)
+            added = len(self.auts)
+            if first is None:
+                first = v
+            elif find(v) == find(first):
+                continue  # the image of a tried branch
+            else:
+                orbit[find(v)] = find(first)
+            self._node(*self.individualized(lab, length, start_of, v),
+                       prefix=prefix + (v,))
+
+    def _leaf(self, lab):
         labeling = [0] * self.n
-        for pos, cell in enumerate(cells):
-            labeling[cell[0]] = pos
+        for pos, v in enumerate(lab):
+            labeling[v] = pos
         cert = tuple(sorted(
             (labeling[u], labeling[v]) if labeling[u] < labeling[v]
             else (labeling[v], labeling[u]) for u, v in self.g.edges))
         if self.first_cert is None:
             self.first_cert = cert
-            self.first_labeling = labeling
+            self.first_lab = lab
         elif cert == self.first_cert:
-            # two labelings with equal certs compose to an automorphism
-            inv = [0] * self.n
-            for x, y in enumerate(self.first_labeling):
-                inv[y] = x
-            aut = tuple(inv[labeling[x]] for x in range(self.n))
-            if any(aut[x] != x for x in range(self.n)) and aut not in set(
-                    map(tuple, self.auts)):
-                self.auts.append(aut)
+            # two labelings with equal certs compose to an automorphism;
+            # leaves differ in the vertex some node individualized, so each
+            # one found is new and not the identity
+            aut = [0] * self.n
+            for x, y in zip(lab, self.first_lab):
+                aut[x] = y
+            self.auts.append(tuple(aut))
         if self.best_cert is None or cert < self.best_cert:
             self.best_cert = cert
             self.best_labeling = labeling

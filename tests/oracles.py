@@ -1,5 +1,5 @@
 """Oracles shared by the tests, written independently of the library's
-stabilizer chains."""
+stabilizer chains, jump-pair reading and splitter-queue refinement."""
 
 
 def closure(group) -> frozenset:
@@ -39,3 +39,36 @@ def jump_at(og, cycles, v, ell):
                        Y[(y0 - q * ell) % length]} & targets)
 
     return least(C, tp, Cp, hp), least(Cp, hp, C, tp)
+
+
+def refine(adj, cells):
+    """The coarsest equitable refinement of the ordered partition ``cells``
+    by full rounds: each round splits every cell by the vector of its
+    vertices' neighbour counts in all cells, until a round splits none."""
+    cells = [tuple(c) for c in cells]
+    while True:
+        index = {}
+        for k, cell in enumerate(cells):
+            for v in cell:
+                index[v] = k
+        changed = False
+        out = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            sig = {}
+            for v in cell:
+                counts = [0] * len(cells)
+                for w in adj[v]:
+                    counts[index[w]] += 1
+                sig.setdefault(tuple(counts), []).append(v)
+            if len(sig) == 1:
+                out.append(cell)
+            else:
+                changed = True
+                for key in sorted(sig):
+                    out.append(tuple(sorted(sig[key])))
+        cells = out
+        if not changed:
+            return cells

@@ -32,6 +32,19 @@ def report(criterion, ok, extra=""):
     assert ok, line
 
 
+SHARED_SUITES = ("gta", "allkernels", "kernels", "psi", "iso-relations",
+                 "andivr-props")
+
+
+@pytest.fixture(scope="module")
+def walk():
+    """One walk over the pool for the suites of criteria 03, 05, 06, 08, 09
+    and 11: their reports by suite name, and the walk's wall time."""
+    t0 = time.monotonic()
+    reports = harness.run_suites(SHARED_SUITES)
+    return {r.suite: r for r in reports}, time.monotonic() - t0
+
+
 def full_pipeline(g, grp):
     s = analyze(certify_hat(g, grp))
     ks = quotients.kernels(g, grp, s)
@@ -67,11 +80,12 @@ def test_criterion_02_jump_pair_values():
     report("02 jump pair values", ok, f"{elapsed:.2f}s")
 
 
-def test_criterion_03_jump_formula_suite():
+def test_criterion_03_jump_formula_suite(walk):
+    reports, walk_s = walk
     t0 = time.monotonic()
     grid = harness.param_grid(harness.GridConfig())
-    rep = harness.run_suite("gta")
-    elapsed = time.monotonic() - t0
+    rep = reports["gta"]
+    elapsed = walk_s + time.monotonic() - t0
     ok = len(grid) >= 100 and rep.passed and elapsed < 120.0
     report("03 jump formula suite", ok,
            f"{len(grid)} param sets, {elapsed:.1f}s")
@@ -92,15 +106,15 @@ def test_criterion_04_jump_arithmetic_suite():
            f"{checked} instances")
 
 
-def test_criterion_05_kernel_equality_suite():
-    rep = harness.run_suite("allkernels")
+def test_criterion_05_kernel_equality_suite(walk):
+    rep = walk[0]["allkernels"]
     counts = rep.counts()
     report("05 kernel equality suite", rep.passed and counts["pass"] > 0,
            f"{counts['pass']} instances")
 
 
-def test_criterion_06_kernel_classification_suite():
-    rep = harness.run_suite("kernels")
+def test_criterion_06_kernel_classification_suite(walk):
+    rep = walk[0]["kernels"]
     cases = {r.detail.get("case") for r in rep.results if r.status == "pass"}
     ok = rep.passed and {"i", "ii", "iii", "v"} <= cases
     report("06 kernel classification suite", ok, f"cases seen: {sorted(cases)}")
@@ -122,14 +136,15 @@ def test_criterion_07_quotient_reduction():
            f"{checked} instances with a < r")
 
 
-def test_criterion_08_cycle_graph_isomorphism():
-    rep = harness.run_suite("psi")
+def test_criterion_08_cycle_graph_isomorphism(walk):
+    rep = walk[0]["psi"]
     counts = rep.counts()
     report("08 cycle-graph isomorphism", rep.passed and counts["pass"] > 0,
            f"{counts['pass']} instances")
 
 
-def test_criterion_09_isomorphism_facts():
+def test_criterion_09_isomorphism_facts(walk):
+    reports, walk_s = walk
     t0 = time.monotonic()
     g1, _ = build_xo(XoParams(6, 13, 2))
     g2, _ = build_xo(XoParams(6, 13, 3))
@@ -137,8 +152,8 @@ def test_criterion_09_isomorphism_facts():
     g3, _ = build_xe(XeParams(4, 20, 3, 0))
     g4, _ = build_xe(XeParams(4, 20, 3, 10))
     ok = ok and not autsearch.are_isomorphic(g3, g4)[0]
-    rep = harness.run_suite("iso-relations")
-    elapsed = time.monotonic() - t0
+    rep = reports["iso-relations"]
+    elapsed = walk_s + time.monotonic() - t0
     ok = ok and rep.passed and elapsed < 300.0
     report("09 isomorphism facts", ok, f"{elapsed:.1f}s")
 
@@ -149,8 +164,8 @@ def test_criterion_10_circulant_arc_transitivity():
     report("10 circulant arc-transitivity", ok)
 
 
-def test_criterion_11_square_root_machinery():
-    rep = harness.run_suite("andivr-props")
+def test_criterion_11_square_root_machinery(walk):
+    rep = walk[0]["andivr-props"]
     ok = rep.passed and rep.counts()["pass"] > 0
     # precondition violations must fire on constructed counter-inputs
     g, grp = build_xo(XoParams(3, 9, 2))  # a = r: divisibility clause

@@ -1,9 +1,12 @@
+import random
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from hatkit.autsearch import (
+    _Search,
     are_isomorphic,
     automorphism_group,
     canonical_form,
@@ -24,8 +27,10 @@ from hatkit.graphcore import (
     edge_key,
     is_automorphism,
 )
+from hatkit.harness import instance_pool
 from hatkit.perm import Permutation
-from oracles import closure
+from oracles import closure, refine
+from test_harness import SMALL
 
 
 def cycle_graph(n):
@@ -102,6 +107,68 @@ class TestRandomRegularOracle:
         images = data.draw(st.permutations(range(n)))
         h = relabel(g, Permutation(tuple(images)))
         assert canonical_form(h).cert == canonical_form(g).cert
+
+
+def cells_of(lab, length):
+    """The cells of a search partition as frozensets, keyed by start."""
+    out, pos = {}, 0
+    while pos < len(lab):
+        out[pos] = frozenset(lab[pos:pos + length[pos]])
+        pos += length[pos]
+    return out
+
+
+def check_refine(g):
+    """The splitter-queue refinement and the full-round oracle give the same
+    set partition at the root and after individualising each vertex, and
+    ``start_of`` names each vertex's cell."""
+    s = _Search(g, budget=0)
+    lab, length, start_of, queue = s.unit()
+    partitions = [(lab, length, start_of, queue)]
+    s.refine(lab, length, start_of, queue)
+    partitions += [s.individualized(lab, length, start_of, v)
+                   for v in range(g.n) if length[start_of[v]] > 1]
+    for lab, length, start_of, queue in partitions:
+        given = list(cells_of(lab, length).values())
+        s.refine(lab, length, start_of, queue)
+        cells = cells_of(lab, length)
+        assert set(cells.values()) == set(
+            map(frozenset, refine(g.adjacency, given)))
+        assert all(v in cells[start_of[v]] for v in range(g.n))
+
+
+class TestRefinementOracle:
+    def test_small_pool(self):
+        for _key, rec in instance_pool(SMALL):
+            check_refine(rec.graph)
+
+    @given(st.integers(1, 14), st.floats(0.1, 0.9),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_graphs(self, n, p, seed):
+        # G(n, p) graphs start from several degree cells, which the
+        # regular pool graphs never do
+        nxg = nx.gnp_random_graph(n, p, seed=seed)
+        check_refine(build_graph(n, [edge_key(u, v) for u, v in nxg.edges()]))
+
+
+class TestLargerRelabeling:
+    """Certificates and witnesses on graphs well past the small cases."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_xo(XoParams(3, 43, 6))[0],
+        lambda: build_circulant(100, {1, -1, 7, -7}),
+    ], ids=["Xo(3,43;6)", "Circ(100;1,7)"])
+    def test_cert_and_witness(self, build):
+        g = build()
+        images = list(range(g.n))
+        random.Random(g.n).shuffle(images)
+        h = relabel(g, Permutation(tuple(images)))
+        assert canonical_form(h).cert == canonical_form(g).cert
+        ok, w = are_isomorphic(g, h)
+        assert ok
+        for u, v in g.edges:
+            assert h.has_edge(w(u), w(v))
 
 
 class TestIsomorphism:
