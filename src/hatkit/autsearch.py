@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import SearchBudgetExceededError
-from .graphcore import Graph, arc_act, is_automorphism
+from .graphcore import (Graph, OrientedGraph, arc_act, build_graph,
+                        is_automorphism, reverse_orientation)
 from .perm import GroupByGenerators, Permutation
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -250,10 +251,20 @@ def is_arc_transitive(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     return automorphism_group(g, budget).is_transitive(g.arcs, arc_act)
 
 
-def has_orbit_swapper(arcs: frozenset, aut: GroupByGenerators) -> bool:
-    """For the arc set of a half-arc-transitive orientation: does some
-    element of ``aut`` map it onto its reverse, exchanging the two paired
-    arc orbits?"""
-    reversed_arcs = frozenset((h, t) for t, h in arcs)
-    return any(frozenset((p(t), p(h)) for t, h in arcs) == reversed_arcs
-               for p in aut.elements())
+def _gadget(og: OrientedGraph) -> Graph:
+    """An undirected graph whose isomorphisms are the digraph isomorphisms
+    of ``og``: vertex v becomes an out-copy v, an in-copy n+v, a middle
+    2n+v on the path v - 2n+v - n+v and a pendant 3n+v on v, and arc
+    t -> h the edge t - n+h.  The four kinds have degrees 4, 3, 2 and 1,
+    so an isomorphism keeps each kind and restricts to the digraphs."""
+    n = og.graph.n
+    return build_graph(4 * n, [(t, n + h) for t, h in og.arc_set] + [
+        e for v in range(n)
+        for e in ((v, 2 * n + v), (n + v, 2 * n + v), (v, 3 * n + v))])
+
+
+def has_orbit_swapper(og: OrientedGraph) -> bool:
+    """Does some automorphism of the graph map the half-arc-transitive
+    orientation ``og`` onto its reverse, swapping the two paired arc
+    orbits?  That is a digraph isomorphism from ``og`` to its reverse."""
+    return are_isomorphic(_gadget(og), _gadget(reverse_orientation(og)))[0]

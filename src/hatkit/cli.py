@@ -8,7 +8,7 @@ Instance specifiers accepted wherever a graph is expected:
   path/to/file      edge-list (.txt), graph6 (.g6), bundle JSON (.json)
 
 Exit codes: 0 ok, 2 parse/input error, 3 invalid parameters, 4 the pair is
-not half-arc-transitive, 5 internal consistency violation, 6 budget or cap
+not half-arc-transitive, 5 internal consistency violation, 6 search budget
 exceeded, 1 anything else.
 """
 
@@ -32,7 +32,6 @@ from .constructions import (
 from .errors import (
     ArcTransitiveError,
     BadPermutationError,
-    CapExceededError,
     ContainsZeroError,
     DuplicateEdgeError,
     HatkitError,
@@ -56,7 +55,7 @@ _EXIT_CODES = (
     ((NotAutomorphismError, NotVertexTransitiveError,
       NotEdgeTransitiveError, ArcTransitiveError), 4),
     ((InconsistentError,), 5),
-    ((CapExceededError, SearchBudgetExceededError), 6),
+    ((SearchBudgetExceededError,), 6),
 )
 
 

@@ -11,10 +11,6 @@ class DegreeMismatchError(HatkitError):
     """Permutations of different degrees were combined."""
 
 
-class CapExceededError(HatkitError):
-    """Group closure grew past the configured element cap."""
-
-
 class BadPermutationError(HatkitError):
     """An image list is not a bijection on 0..n-1."""
 

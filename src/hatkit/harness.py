@@ -211,7 +211,7 @@ def analyze_instance(g: Graph, group: Optional[GroupByGenerators],
             report["arc_transitive"] = aut.is_transitive(g.arcs, arc_act)
         else:
             report["orbit_swapper"] = autsearch.has_orbit_swapper(
-                rec.orientation.arc_set, aut)
+                rec.orientation)
     return report
 
 

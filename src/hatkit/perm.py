@@ -7,7 +7,6 @@ right, composed left to right.  For a point ``x`` and permutations ``p``,
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import lcm, prod
@@ -17,11 +16,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from .errors import (
     BadPermutationError,
     BlocksNotInvariantError,
-    CapExceededError,
     DegreeMismatchError,
 )
-
-ELEMENT_CAP = int(os.environ.get("HATKIT_ELEMENT_CAP", 10**6))
 
 
 @dataclass(frozen=True)
@@ -222,7 +218,8 @@ class StabilizerChain:
 
     def elements(self) -> list:
         """Every element, once: an element of G_i is an element of G_i+1
-        followed by one transversal entry of level i."""
+        followed by one transversal entry of level i.  Only
+        ``GroupByGenerators.elements`` calls this."""
         out = [self.identity]
         for trans in reversed(self.transversal):
             out = [_mul(h, u) for h in out for u, _inv in trans.values()]
@@ -260,17 +257,9 @@ class GroupByGenerators:
         return Permutation.identity(self.degree)
 
     def elements(self) -> frozenset:
-        """Every element, listed from the stabilizer chain.  Raises
-        CapExceededError, before listing any, when the order exceeds
-        ``ELEMENT_CAP``."""
+        """Every element, from the stabilizer chain.  No library code
+        calls this; tests compare it with a closure, benchmarks wrap it."""
         if self._elements is None:
-            n = self.order()
-            if n > ELEMENT_CAP:
-                raise CapExceededError(
-                    f"listing the {n} elements of a group of degree "
-                    f"{self.degree} on {len(self.generators)} generators "
-                    f"exceeds the element cap {ELEMENT_CAP} "
-                    f"(HATKIT_ELEMENT_CAP)")
             self._elements = frozenset(
                 Permutation(p) for p in self.chain.elements())
         return self._elements
@@ -379,43 +368,51 @@ class StructureTag:
         return self.param
 
 
+def _commute(gens: Sequence[Permutation]) -> bool:
+    return all(p * q == q * p for p, q in combinations(gens, 2))
+
+
 def group_structure(g: GroupByGenerators) -> StructureTag:
-    """Exact recognition of cyclic, dihedral and elementary abelian 2-groups.
+    """Exact recognition of cyclic, dihedral and elementary abelian 2-groups
+    from the generators and the order; no element is listed.
 
     Conventions for the degenerate small orders: order 2 is reported
     Cyclic(2); order 4 with all involutions is ElemAbelian2(2) (note that
     the dihedral group of order 4 is Z2 x Z2).  Dihedral(k) denotes the
     dihedral group of order k.
 
-    Abelian groups are recognised from their generators: the exponent is
-    the lcm of the generator orders, and the group is cyclic exactly when
-    the exponent is the order.  Only non-abelian groups, which can only be
-    dihedral or Other here, have their elements listed.
+    An abelian group's exponent is the lcm of its generator orders; it is
+    cyclic exactly when the exponent is the order.
+
+    A non-abelian group's flips are its generators that are involutions
+    and fail to commute with some generator.  With f the first flip, rot
+    is generated by the other generators and f * t for each further flip
+    t.  The group is Dihedral(n) exactly when rot is abelian, f inverts
+    each generator of rot and their orders have lcm n/2.  If so, rot and
+    f generate the group, f normalizes rot and lies outside it (else the
+    group is abelian), so rot has index 2 and exponent n/2: it is cyclic
+    and inverted by the involution f.  Conversely, in a non-abelian
+    dihedral group (n >= 6) the reflections are the non-central
+    involutions, so the flips are the reflection generators and rot is a
+    group of rotations that with f generates the group: all rotations.
     """
     n = g.order()
     if n == 1:
         return StructureTag("Trivial")
-    if all(p * q == q * p for p, q in combinations(g.generators, 2)):
-        exponent = lcm(*(p.order() for p in g.generators))
+    gens = g.generators
+    if _commute(gens):
+        exponent = lcm(*(p.order() for p in gens))
         if exponent == n:
             return StructureTag("Cyclic", n)
         if exponent == 2:
             return StructureTag("ElemAbelian2", n.bit_length() - 1)
         return StructureTag("Other", n)
-    elems = sorted(g.elements(), key=lambda p: p.images)
-    orders = {p: p.order() for p in elems}
-    if n % 2 == 0:
-        half = n // 2
-        for c in elems:
-            if orders[c] != half:
-                continue
-            cyc = set()
-            p = c
-            while p not in cyc:
-                cyc.add(p)
-                p = p * c
-            inv_c = c.inverse()
-            if any(t not in cyc and orders[t] == 2 and t * c * t == inv_c
-                   for t in elems):
-                return StructureTag("Dihedral", n)
+    flips = [t for t in gens
+             if t.order() == 2 and any(t * p != p * t for p in gens)]
+    if flips:
+        f = flips[0]
+        rot = [p for p in gens if p not in flips] + [f * t for t in flips[1:]]
+        if (_commute(rot) and all(f * c * f == c.inverse() for c in rot)
+                and 2 * lcm(*(c.order() for c in rot)) == n):
+            return StructureTag("Dihedral", n)
     return StructureTag("Other", n)

@@ -254,9 +254,10 @@ def thm_pipeline(rec: Analysis) -> dict:
 
     Outcome "tight": a = r, no further reduction.  Outcome "quotient":
     a < r; the half-step blocks are exactly the orbits of their kernel,
-    the kernel is cyclic of order a (a | r) or a/2 (a ∤ r), and the
-    quotient with the induced group is a certified half-arc-transitive
-    pair that is loosely (a | r) or antipodally (a ∤ r) attached.
+    the kernel fits row iv (a | r) or v (a ∤ r) of ``classify_kernel``'s
+    table, and the quotient with the induced group is a certified
+    half-arc-transitive pair that is loosely (a | r) or antipodally (a ∤ r)
+    attached.
 
     For even radius with a = 2, the group is first extended by the
     antipodal automorphism when that exists outside the group.  The
@@ -289,12 +290,7 @@ def thm_pipeline(rec: Analysis) -> dict:
         raise InconsistentError(
             {"reason": "kernel orbits differ from the half-step blocks"})
     tag = rec.tags["K_B"]
-    want = s.attachment if s.radius % s.attachment == 0 else s.attachment // 2
-    if not (_is_cyclic_of(tag, want)
-            or (want == 2 and tag.kind == "Trivial")):
-        raise InconsistentError(
-            {"reason": "block kernel not cyclic of the predicted order",
-             "observed": str(tag), "expected_order": want})
+    classify_kernel(s, tag)
 
     q = quotient_graph(rec.graph, b)
     induced = quotient_action(rec.group, b, kernel=k_b)

@@ -1,20 +1,32 @@
 """Oracles shared by the tests, written independently of the library's
-stabilizer chains, jump-pair reading and splitter-queue refinement."""
+stabilizer chains, jump-pair reading, splitter-queue refinement and
+digraph gadgets."""
+
+from hatkit.perm import Permutation
 
 
 def closure(group) -> frozenset:
-    """The elements of ``group``: the breadth-first closure of its
-    generators under composition."""
-    seen = {group.identity}
+    """The elements of ``group``: the closure of its generators under
+    composition, searched on image tuples."""
+    seen = {group.identity.images}
     frontier = list(seen)
     while frontier:
         p = frontier.pop()
         for g in group.generators:
-            q = p * g
+            q = tuple(g.images[x] for x in p)
             if q not in seen:
                 seen.add(q)
                 frontier.append(q)
-    return frozenset(seen)
+    return frozenset(map(Permutation, seen))
+
+
+def orbit_swapper(og, elements) -> bool:
+    """Does one of the listed ``elements``, such as ``closure(aut)``, map
+    the arc set of ``og`` onto its reverse?"""
+    arcs = og.arc_set
+    reversed_arcs = {(h, t) for t, h in arcs}
+    return any(all((p.images[t], p.images[h]) in reversed_arcs
+                   for t, h in arcs) for p in elements)
 
 
 def jump_at(og, cycles, v, ell):

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from hatkit.autsearch import (
+    DEFAULT_NODE_BUDGET,
     _Search,
     are_isomorphic,
     automorphism_group,
@@ -26,10 +27,11 @@ from hatkit.graphcore import (
     certify_hat,
     edge_key,
     is_automorphism,
+    reverse_orientation,
 )
 from hatkit.harness import instance_pool
 from hatkit.perm import Permutation
-from oracles import closure, refine
+from oracles import closure, orbit_swapper, refine
 from test_harness import SMALL
 
 
@@ -216,13 +218,44 @@ class TestArcTransitivity:
 class TestOrbitSwapper:
     def test_half_arc_transitive_graph_has_none(self):
         g, grp = build_xo(XoParams(3, 9, 2))
-        arcs = certify_hat(g, grp).arc_set
-        assert not has_orbit_swapper(arcs, automorphism_group(g))
+        assert not has_orbit_swapper(certify_hat(g, grp))
 
     def test_arc_transitive_ambient_group_has_one(self):
         # the two-cycle circulant is K_{4,4}, whose full automorphism group
         # reverses the chosen orientation
         from hatkit.constructions import special_circulant_k44
         g, grp = special_circulant_k44()
-        arcs = certify_hat(g, grp).arc_set
-        assert has_orbit_swapper(arcs, automorphism_group(g))
+        assert has_orbit_swapper(certify_hat(g, grp))
+
+    def test_small_pool_matches_listing(self):
+        """Against the listing oracle on every small-grid instance whose
+        Aut has at most 5,000 elements, for both orientations."""
+        checked = 0
+        for key, rec in instance_pool(SMALL):
+            aut = automorphism_group(rec.graph)
+            if aut.order() > 5000:
+                continue
+            checked += 1
+            listed = closure(aut)
+            for og in (rec.orientation, reverse_orientation(rec.orientation)):
+                assert has_orbit_swapper(og) == orbit_swapper(og, listed), key
+        assert checked == 27
+
+
+class TestOrbitPruning:
+    def test_automorphism_moving_the_prefix_does_not_prune(self):
+        """At the node that individualised 0 in the 6-cycle, the target
+        cell is {2, 4}.  The rotation x -> x + 2 maps 2 to 4 but moves 0,
+        so it must not prune the branch on 4 there."""
+        s = _Search(cycle_graph(6), DEFAULT_NODE_BUDGET)
+        s.auts.append(tuple((x + 2) % 6 for x in range(6)))
+        visited = []
+        node = s._node
+
+        def recording(*partition, prefix):
+            visited.append(prefix)
+            node(*partition, prefix=prefix)
+
+        s._node = recording
+        s.run()
+        assert (0, 2) in visited and (0, 4) in visited

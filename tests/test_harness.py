@@ -21,7 +21,12 @@ from hatkit.harness import (
     run_suite,
     run_suites,
 )
-from hatkit.perm import GroupByGenerators, Permutation, setwise_action
+from hatkit.perm import (
+    GroupByGenerators,
+    Permutation,
+    StabilizerChain,
+    setwise_action,
+)
 from oracles import closure
 
 SMALL = GridConfig(xo_m=(3,), xo_r=(5, 7, 9), xe_m=(4,), xe_r=(4, 6),
@@ -339,6 +344,22 @@ class TestCli:
         monkeypatch.setattr(GroupByGenerators, "elements", listing)
         assert cli.main(["aut", "xo:4,7,1"]) == 0
         assert json.loads(capsys.readouterr().out)["order"] == 458752
+
+    def test_library_lists_no_group(self, capsys, monkeypatch):
+        def listing(_self):
+            raise AssertionError("group elements listed")
+        monkeypatch.setattr(GroupByGenerators, "elements", listing)
+        monkeypatch.setattr(StabilizerChain, "elements", listing)
+        assert all(r.passed for r in run_suites(harness.SUITE_NAMES, SMALL))
+        for spec in ("xo:3,9,2", "xo:4,9,1", "wreath:8", "circ:8:1,3"):
+            assert cli.main(["analyze", spec, "--aut"]) == 0, spec
+        assert cli.main(["kernels", "xo:3,9,2"]) == 0
+        assert cli.main(["quotient", "xo:3,9,2"]) == 0
+
+    def test_orbit_swapper_in_a_large_group(self, capsys):
+        assert cli.main(["analyze", "xo:4,9,1", "--aut"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["aut_order"] == 9437184 and doc["orbit_swapper"]
 
     def test_kernels(self, capsys):
         assert cli.main(["kernels", "xo:3,9,2"]) == 0
