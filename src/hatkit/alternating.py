@@ -102,16 +102,6 @@ class AltStructure:
                             for s in self.attachment_sets))
 
     @property
-    def cycle_edge_sets(self) -> tuple:
-        """Cycles as edge sets; distinguishes the two cycles even in the
-        degenerate case where both run through every vertex."""
-        out = []
-        for c in self.cycles:
-            out.append(frozenset(edge_key(c[i - 1], c[i])
-                                 for i in range(len(c))))
-        return tuple(out)
-
-    @property
     def n(self) -> int:
         return sum(len(c) for c in self.cycles) // 2
 

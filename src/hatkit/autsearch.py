@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 from .errors import SearchBudgetExceededError
 from .graphcore import (Graph, OrientedGraph, arc_act, build_graph,
-                        is_automorphism, reverse_orientation)
+                        is_automorphism)
 from .perm import GroupByGenerators, Permutation
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -251,20 +251,27 @@ def is_arc_transitive(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     return automorphism_group(g, budget).is_transitive(g.arcs, arc_act)
 
 
-def _gadget(og: OrientedGraph) -> Graph:
-    """An undirected graph whose isomorphisms are the digraph isomorphisms
-    of ``og``: vertex v becomes an out-copy v, an in-copy n+v, a middle
-    2n+v on the path v - 2n+v - n+v and a pendant 3n+v on v, and arc
-    t -> h the edge t - n+h.  The four kinds have degrees 4, 3, 2 and 1,
-    so an isomorphism keeps each kind and restricts to the digraphs."""
-    n = og.graph.n
-    return build_graph(4 * n, [(t, n + h) for t, h in og.arc_set] + [
-        e for v in range(n)
-        for e in ((v, 2 * n + v), (n + v, 2 * n + v), (v, 3 * n + v))])
-
-
 def has_orbit_swapper(og: OrientedGraph) -> bool:
     """Does some automorphism of the graph map the half-arc-transitive
-    orientation ``og`` onto its reverse, swapping the two paired arc
-    orbits?  That is a digraph isomorphism from ``og`` to its reverse."""
-    return are_isomorphic(_gadget(og), _gadget(reverse_orientation(og)))[0]
+    orientation D = ``og`` onto its reverse, swapping the two paired arc
+    orbits?
+
+    One search decides it, on the doubled graph: vertex v becomes an
+    out-copy v and an in-copy n+v joined through a middle 2n+v, and arc
+    t -> h the edge t - n+h.  Middles have degree 2 and copies degree 3,
+    so every automorphism keeps the pairs {v, n+v}.  Copies of one kind
+    are adjacent only to copies of the other, so for each arc t -> h an
+    automorphism keeps the two kinds on the pair of t exactly when it
+    keeps them on the pair of h.  The graph is connected, so it keeps
+    the kinds on every pair or swaps them on every pair.  One that keeps
+    them is an automorphism of D; one that swaps them maps D onto its
+    reverse, and each such map of D arises this way.  Keeping or swapping
+    is a homomorphism onto a group of order at most 2, so some
+    automorphism swaps exactly when some generator does, that is, maps
+    out-copy 0 to an in-copy.
+    """
+    n = og.graph.n
+    doubled = build_graph(3 * n, [(t, n + h) for t, h in og.arc_set] + [
+        e for v in range(n) for e in ((v, 2 * n + v), (n + v, 2 * n + v))])
+    return any(n <= p(0) < 2 * n
+               for p in automorphism_group(doubled).generators)

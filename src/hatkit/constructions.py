@@ -173,7 +173,10 @@ def build_xe(p: XeParams):
 
 
 def build_circulant(n: int, connection) -> Graph:
-    """Circ_n(S): i ~ j iff j - i in S; S must be inverse-closed, 0 not in S."""
+    """Circ_n(S): i ~ j iff j - i in S; n >= 1, S must be inverse-closed,
+    0 not in S."""
+    if n < 1:
+        raise InvalidParamsError(f"circulant needs n >= 1, got {n}")
     s = {x % n for x in connection}
     if 0 in s:
         raise ContainsZeroError("connection set contains 0")

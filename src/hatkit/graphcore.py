@@ -116,14 +116,6 @@ def is_automorphism(g: Graph, p: Permutation) -> bool:
     return all(edge_key(p(u), p(v)) in g.edge_set for u, v in g.edges)
 
 
-def vertex_act(x: int, p: Permutation) -> int:
-    return p(x)
-
-
-def edge_act(e: tuple, p: Permutation) -> tuple:
-    return edge_key(p(e[0]), p(e[1]))
-
-
 def arc_act(a: tuple, p: Permutation) -> tuple:
     return (p(a[0]), p(a[1]))
 
@@ -209,12 +201,19 @@ def orientation_from_arcs(g: Graph, arcs) -> OrientedGraph:
 
 def certify_hat(graph: Graph, group: GroupByGenerators) -> OrientedGraph:
     """Check that the group acts half-arc-transitively on the graph and
-    return the induced orientation: the arc orbit containing the
-    lexicographically least arc.
+    return the induced orientation D: the arc orbit containing the
+    lexicographically least arc (t, h).
+
+    D alone decides all three transitivities.  Its tails are the vertex
+    orbit of t, so the group is vertex-transitive exactly when every
+    vertex is a tail in D.  Its edges are the edge orbit of {t, h}, so the
+    group is edge-transitive exactly when they cover E.  Once they do, D
+    holds both arcs of one edge exactly when it holds both arcs of every
+    edge, that is, when |D| = 2|E|; otherwise it holds one arc per edge.
 
     Generators are verified to be automorphisms rather than trusted.
     Raises NotAutomorphismError / NotVertexTransitiveError /
-    NotEdgeTransitiveError / ArcTransitiveError as appropriate.
+    NotEdgeTransitiveError / ArcTransitiveError, checked in that order.
     """
     if not graph.is_regular(4):
         raise ValueError("half-arc-transitivity analysis needs a tetravalent graph")
@@ -223,24 +222,12 @@ def certify_hat(graph: Graph, group: GroupByGenerators) -> OrientedGraph:
         if not is_automorphism(graph, gen):
             raise NotAutomorphismError(i)
 
-    if not group.is_transitive(range(graph.n), vertex_act):
+    orbit = group.orbit(min(graph.arcs), arc_act)
+    if len({t for t, _h in orbit}) != graph.n:
         raise NotVertexTransitiveError("group is not transitive on vertices")
-    if not group.is_transitive(graph.edges, edge_act):
+    head_of = {edge_key(t, h): h for t, h in orbit}
+    if len(head_of) != len(graph.edges):
         raise NotEdgeTransitiveError("group is not transitive on edges")
-
-    base_arc = min(graph.arcs)
-    orbit = group.orbit(base_arc, arc_act)
     if len(orbit) == 2 * len(graph.edges):
         raise ArcTransitiveError("group acts transitively on arcs")
-    # a vertex- and edge- but not arc-transitive action has two paired orbits,
-    # each containing exactly one arc per edge; verify rather than assume
-    per_edge = {}
-    for t, h in orbit:
-        key = edge_key(t, h)
-        if key in per_edge:
-            raise ArcTransitiveError(
-                f"arc orbit contains both arcs of edge {key}")
-        per_edge[key] = h
-    if set(per_edge) != graph.edge_set:
-        raise NotEdgeTransitiveError("arc orbit misses some edges")
-    return OrientedGraph(graph, per_edge)
+    return OrientedGraph(graph, head_of)

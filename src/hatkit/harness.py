@@ -156,9 +156,13 @@ def ingest(path, fmt: Optional[str] = None):
 
     The format is inferred from the suffix when not given:
     .g6/.s6 -> graph6, .json -> bundle-json, anything else -> edgelist.
-    A graph6 or sparse6 file must hold exactly one graph.
+    A graph6 or sparse6 file must hold exactly one graph.  A file that
+    cannot be read is a ParseError naming the path.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from exc
     if fmt is None:
         suffix = Path(path).suffix.lower()
         fmt = {".g6": "graph6", ".s6": "graph6",

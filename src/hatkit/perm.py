@@ -312,38 +312,42 @@ class GroupByGenerators:
         return GroupByGenerators(self.generators + (p,), degree=self.degree)
 
 
-def action_kernel(g: GroupByGenerators, labeled_objects: Sequence,
-                  act: Callable) -> GroupByGenerators:
-    """Subgroup of all elements fixing every labeled object (setwise, as far
-    as ``act`` is concerned).
+def block_images(g: GroupByGenerators, blocks: Sequence) -> list:
+    """Each generator's permutation of the disjoint ``blocks``, as the
+    image tuple of block indices.  A generator permutes the blocks when it
+    maps each into one block and no two into the same one: each image
+    then fits in its target and the sizes sum alike, so it fills it.
+    Raises BlocksNotInvariantError otherwise."""
+    block_of = {v: k for k, blk in enumerate(blocks) for v in blk}
+    indices = set(range(len(blocks)))
+    out = []
+    for i, p in enumerate(g.generators):
+        images = tuple(j for blk in blocks
+                       for j in {block_of.get(p.images[v]) for v in blk})
+        if len(images) != len(blocks) or set(images) != indices:
+            raise BlocksNotInvariantError(
+                f"generator {i} does not permute the blocks")
+        out.append(images)
+    return out
 
-    Each generator becomes a permutation of the k objects and the n points
-    together, objects first.  With the k object points first in the base
-    of its stabilizer chain, the strong generators that fix them all,
+
+def action_kernel(g: GroupByGenerators, blocks: Sequence) -> GroupByGenerators:
+    """Subgroup of all elements fixing every one of the disjoint ``blocks``
+    setwise.
+
+    Each generator becomes a permutation of the k blocks and the n points
+    together, blocks first.  With the k block points first in the base of
+    its stabilizer chain, the strong generators that fix them all,
     restricted to the points, generate the kernel.  Raises
-    BlocksNotInvariantError if a generator maps an object outside the set.
+    BlocksNotInvariantError if a generator does not permute the blocks.
     """
-    objects = list(labeled_objects)
-    index = {obj: k for k, obj in enumerate(objects)}
-    k = len(objects)
-    gens = []
-    for p in g.generators:
-        images = []
-        for obj in objects:
-            img = index.get(act(obj, p))
-            if img is None:
-                raise BlocksNotInvariantError(
-                    f"generator maps an object to one outside the set: {obj}")
-            images.append(img)
-        gens.append(tuple(images) + tuple(k + y for y in p.images))
+    k = len(blocks)
+    gens = [images + tuple(k + y for y in p.images)
+            for images, p in zip(block_images(g, blocks), g.generators)]
     chain = StabilizerChain(gens, k + g.degree, base=range(k))
     strong = chain.strong[k] if len(chain.base) > k else ()
     kernel = tuple(Permutation(tuple(y - k for y in s[k:])) for s in strong)
     return GroupByGenerators(kernel, degree=g.degree)
-
-
-def setwise_action(s: frozenset, p: Permutation) -> frozenset:
-    return frozenset(p(x) for x in s)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from typing import Dict, Optional
 
 from .alternating import AltStructure, analyze, antipodal_tau
 from .errors import (
-    BlocksNotInvariantError,
     InconsistentError,
     PreconditionFailedError,
     TooFewCyclesError,
@@ -24,8 +23,8 @@ from .perm import (
     Permutation,
     StructureTag,
     action_kernel,
+    block_images,
     group_structure,
-    setwise_action,
 )
 
 
@@ -121,16 +120,27 @@ def alt_graph(s: AltStructure) -> Graph:
 
 
 def kernels(g: Graph, group: GroupByGenerators, s: AltStructure) -> dict:
-    """The three setwise-fixing kernels: on the alternating cycles, on the
-    half-step blocks, and on the attachment sets.  For even ell the
-    half-step blocks are the attachment sets, so K_A is K_B."""
-    k_alt = action_kernel(
-        group, s.cycle_edge_sets,
-        lambda es, p: frozenset(edge_key(p(u), p(v)) for u, v in es))
-    k_b = action_kernel(group, construction_b(s).blocks, setwise_action)
+    """The three setwise-fixing kernels, each a kernel on a partition of
+    the vertices: K_alt on the alternating cycles, K_B on the half-step
+    blocks and K_A on the attachment sets.  For even ell the half-step
+    blocks are the attachment sets, so K_A is K_B.
+
+    K_alt fixes each cycle's edge set; it is the kernel on the partition
+    of V by tail cycle.  Every vertex is the tail of both its arcs on
+    exactly one cycle, so a cycle's 2r edges are the out-arcs of its r
+    tail vertices.  The group preserves the orientation, which
+    ``certify_hat`` defines as a group orbit, so an element fixes a
+    cycle's edge set exactly when it fixes the cycle's tail set.  In the
+    degenerate case a = 2r the two Hamilton cycles have disjoint tail
+    sets, so the partition still tells them apart.
+    """
+    tails = [set() for _ in s.cycles]
+    for v, role in s.roles.items():
+        tails[role[0]].add(v)
+    k_b = action_kernel(group, construction_b(s).blocks)
     k_a = k_b if s.ell % 2 == 0 else action_kernel(
-        group, attachment_partition(s).blocks, setwise_action)
-    return {"K_alt": k_alt, "K_B": k_b, "K_A": k_a}
+        group, attachment_partition(s).blocks)
+    return {"K_alt": action_kernel(group, tails), "K_B": k_b, "K_A": k_a}
 
 
 @dataclass(frozen=True)
@@ -192,19 +202,9 @@ def quotient_action(group: GroupByGenerators, b: BlockSystem,
                     ) -> GroupByGenerators:
     """Induced permutation group on the blocks.  When the block kernel is
     supplied, the induced order is verified to be |G| / |kernel|."""
-    index = {blk: k for k, blk in enumerate(b.blocks)}
-    gens = []
-    for gen in group.generators:
-        images = [0] * len(b.blocks)
-        for blk, k in index.items():
-            img = setwise_action(blk, gen)
-            if img not in index:
-                raise BlocksNotInvariantError(
-                    f"generator maps block {sorted(blk)} to the non-block "
-                    f"{sorted(img)}")
-            images[k] = index[img]
-        gens.append(Permutation(tuple(images)))
-    induced = GroupByGenerators(tuple(gens), degree=len(b.blocks))
+    induced = GroupByGenerators(
+        tuple(map(Permutation, block_images(group, b.blocks))),
+        degree=len(b.blocks))
     if kernel is not None:
         expect = group.order() // kernel.order()
         if induced.order() != expect:

@@ -1,6 +1,6 @@
 """Oracles shared by the tests, written independently of the library's
-stabilizer chains, jump-pair reading, splitter-queue refinement and
-digraph gadgets."""
+stabilizer chains, block actions, jump-pair reading, splitter-queue
+refinement and doubled-graph swapper search."""
 
 from hatkit.perm import Permutation
 
@@ -18,6 +18,11 @@ def closure(group) -> frozenset:
                 seen.add(q)
                 frontier.append(q)
     return frozenset(map(Permutation, seen))
+
+
+def setwise_action(s: frozenset, p) -> frozenset:
+    """The image of the point set ``s`` under ``p``."""
+    return frozenset(p(x) for x in s)
 
 
 def orbit_swapper(og, elements) -> bool:

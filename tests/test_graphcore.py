@@ -139,6 +139,18 @@ class TestCertifyHat:
         with pytest.raises(NotEdgeTransitiveError):
             certify_hat(g, rot)
 
+    def test_edge_check_precedes_arc_check(self):
+        # x -> x+1 and x -> -x are transitive on vertices, not on edges.
+        # The arc orbit of (0, 1) holds both arcs of each of its 8 edges,
+        # so an arc check made before the edge check would report an
+        # arc-transitive group.
+        g = build_circulant(8, {1, -1, 3, -3})
+        dihedral = GroupByGenerators(
+            (Permutation.from_mapping(8, lambda x: (x + 1) % 8),
+             Permutation.from_mapping(8, lambda x: (-x) % 8)))
+        with pytest.raises(NotEdgeTransitiveError):
+            certify_hat(g, dihedral)
+
     def test_orientation_covers_each_edge_once(self):
         og = certify_hat(build_wreath(6), wreath_hat_group(6))
         covered = {edge_key(t, h) for t, h in og.arc_set}

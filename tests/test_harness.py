@@ -21,13 +21,8 @@ from hatkit.harness import (
     run_suite,
     run_suites,
 )
-from hatkit.perm import (
-    GroupByGenerators,
-    Permutation,
-    StabilizerChain,
-    setwise_action,
-)
-from oracles import closure
+from hatkit.perm import GroupByGenerators, Permutation, StabilizerChain
+from oracles import closure, setwise_action
 
 SMALL = GridConfig(xo_m=(3,), xo_r=(5, 7, 9), xe_m=(4,), xe_r=(4, 6),
                    wreath_n=(3, 4))
@@ -143,8 +138,13 @@ class TestPoolOracles:
 
         for key, rec in harness.instance_pool(SMALL):
             s = rec.structure
+            # the cycles as edge sets: the definition of K_alt, which tells
+            # the two cycles of Circ8(1,3) apart
+            cycle_edges = [frozenset(edge_key(c[i - 1], c[i])
+                                     for i in range(len(c)))
+                           for c in s.cycles]
             want = {
-                "K_alt": fixing(rec.group, s.cycle_edge_sets, edge_set_act),
+                "K_alt": fixing(rec.group, cycle_edges, edge_set_act),
                 "K_B": fixing(rec.group, quotients.construction_b(s).blocks,
                               setwise_action),
                 "K_A": fixing(rec.group,
@@ -392,6 +392,7 @@ class TestCli:
     @pytest.mark.parametrize("spec, code", [
         *((name, 2) for name in sorted(BAD_INPUT)),
         ("circ:8:0", 3),
+        ("circ:0:1", 3),
     ])
     def test_bad_input_exit_codes(self, spec, code, tmp_path, capsys):
         if spec in self.BAD_INPUT:
@@ -404,6 +405,30 @@ class TestCli:
         bad = tmp_path / "bad.txt"
         bad.write_text("not an edge list\n")
         assert cli.main(["ingest", str(bad)]) == 2
+
+    @pytest.mark.parametrize("argv", [["ingest", "missing.txt"],
+                                      ["analyze", "."]])
+    def test_unreadable_file_exit_code(self, argv, tmp_path, monkeypatch,
+                                       capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"cannot read {argv[1]}" in err
+
+    def test_unreadable_ingest_file_gets_an_error_row(self, tmp_path,
+                                                      monkeypatch, capsys):
+        monkeypatch.setattr(harness, "GridConfig", lambda extra_files: (
+            GridConfig(**{**vars(SMALL), "extra_files": extra_files})))
+        clean, mixed = tmp_path / "clean.json", tmp_path / "mixed.json"
+        assert cli.main(["verify", "psi", "-o", str(clean)]) == 0
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "psi", "--ingest", str(tmp_path / "missing"),
+                      "-o", str(mixed)])
+        (want,), (got,) = (json.loads(p.read_text()) for p in (clean, mixed))
+        row = got["results"].pop()
+        assert row["key"] == "file(missing)" and row["status"] == "error"
+        assert row["detail"]["error"] == "ParseError"
+        assert got["results"] == want["results"]
 
     def test_altgraph_dot(self, capsys):
         assert cli.main(["altgraph", "xo:3,9,2", "--format", "dot"]) == 0

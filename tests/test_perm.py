@@ -7,10 +7,10 @@ from hatkit.perm import (
     GroupByGenerators,
     Permutation,
     action_kernel,
+    block_images,
     group_structure,
-    setwise_action,
 )
-from oracles import closure
+from oracles import closure, setwise_action
 
 
 def perm_strategy(n):
@@ -128,7 +128,7 @@ class TestGroup:
     def test_action_kernel_on_sets(self):
         g = GroupByGenerators((cyclic_perm(4), reflection_perm(4)))
         blocks = [frozenset({0, 2}), frozenset({1, 3})]
-        k = action_kernel(g, blocks, setwise_action)
+        k = action_kernel(g, blocks)
         assert k.order() == 4
         assert all(setwise_action(b, p) == b for b in blocks
                    for p in closure(k))
@@ -136,8 +136,18 @@ class TestGroup:
     def test_action_kernel_rejects_objects_not_permuted(self):
         g = GroupByGenerators((cyclic_perm(4),))
         with pytest.raises(BlocksNotInvariantError):
-            action_kernel(g, [frozenset({0, 2}), frozenset({1})],
-                          setwise_action)
+            action_kernel(g, [frozenset({0, 1}), frozenset({2, 3})])
+        # each block maps into a block, but both into the same one
+        with pytest.raises(BlocksNotInvariantError):
+            action_kernel(GroupByGenerators((Permutation((1, 0, 2, 3)),)),
+                          [frozenset({0}), frozenset({1, 2}), frozenset({3})])
+
+    def test_block_images_match_setwise_action(self):
+        g = GroupByGenerators((cyclic_perm(6), reflection_perm(6)))
+        blocks = [frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5})]
+        for p, images in zip(g.generators, block_images(g, blocks)):
+            assert [setwise_action(b, p) for b in blocks] == \
+                [blocks[j] for j in images]
 
 
 class TestChain:
