@@ -27,40 +27,40 @@ from .perm import Permutation
 
 
 def alternating_cycles(og: OrientedGraph) -> list:
-    """Decompose the edge set into alternating cycles.
+    """Decompose the edge set into alternating cycles, in order of their
+    least edge.
 
-    Traversal rule: having entered a vertex as the head of an edge, leave
-    through the other edge having it as head, and dually for tails.  Every
-    edge lies on exactly one alternating cycle.
+    Traversal rule: from the tail of an arc go to its head, on to the
+    other in-neighbour of that head, then to the other out-neighbour of
+    that tail, and so on.  Every edge lies on exactly one alternating cycle.
     """
-    g = og.graph
-    unused = set(g.edge_set)
+    out, inn, n = og.out_neighbors, og.in_neighbors, og.graph.n
+    used = set()  # arcs t*n + h already on a cycle
     cycles = []
-    while unused:
-        e0 = min(unused)
-        h0 = og.head_of[e0]
-        t0 = e0[0] if h0 == e0[1] else e0[1]
-        cycle = []
-        v, e = t0, e0
-        while True:
-            cycle.append(v)
-            if e not in unused:
-                raise AlternatingStructureError(
-                    f"edge {e} revisited during traversal")
-            unused.discard(e)
-            w = e[0] if e[1] == v else e[1]
-            if og.head_of[e] == w:
-                candidates = [(x, edge_key(x, w)) for x in og.in_neighbors[w]]
-            else:
-                candidates = [(x, edge_key(w, x)) for x in og.out_neighbors[w]]
-            nxt = [(x, ek) for x, ek in candidates if ek != e]
-            if len(nxt) != 1:
-                raise AlternatingStructureError(
-                    f"ambiguous continuation at vertex {w}")
-            v, e = w, nxt[0][1]
-            if v == t0 and e == e0:
-                break
-        cycles.append(tuple(cycle))
+    for u in range(n):
+        for v in og.graph.adjacency[u]:
+            if v < u:
+                continue
+            t, h = (u, v) if v in out[u] else (v, u)
+            if t * n + h in used:
+                continue
+            t0, h0, cycle = t, h, []
+            while True:
+                cycle += (t, h)
+                a, b = inn[h]
+                t_next = b if a == t else a
+                for arc in (t * n + h, t_next * n + h):
+                    if arc in used:
+                        raise AlternatingStructureError(
+                            f"edge {edge_key(*divmod(arc, n))} revisited "
+                            "during traversal")
+                    used.add(arc)
+                t = t_next
+                a, b = out[t]
+                h = b if a == h else a
+                if t == t0 and h == h0:
+                    break
+            cycles.append(tuple(cycle))
     return [normalize_cycle(c) for c in cycles]
 
 
@@ -134,32 +134,31 @@ def _vertex_roles(og: OrientedGraph, cycles) -> dict:
     """vertex -> (tail cycle, tail position, head cycle, head position),
     where the tail cycle is the one on which the vertex is the tail of
     both incident arcs."""
+    arcs = og.arc_set
+    tails = set()
     places: Dict[int, list] = {}  # vertex -> [(is head, cid, pos)]
     for cid, cycle in enumerate(cycles):
-        length = len(cycle)
+        last = len(cycle) - 1
         for pos, v in enumerate(cycle):
-            prev_v = cycle[pos - 1]
-            next_v = cycle[(pos + 1) % length]
-            prev_head = og.head_of[edge_key(prev_v, v)]
-            next_head = og.head_of[edge_key(v, next_v)]
-            if (prev_head == v) != (next_head == v):
+            is_head = (cycle[pos - 1], v) in arcs
+            if is_head != ((cycle[pos - last], v) in arcs):
                 raise AlternatingStructureError(
                     f"cycle {cid} is not alternating at vertex {v}")
-            is_head = prev_head == v
-            seen = places.setdefault(v, [])
-            if not is_head and any(not h for h, _cid, _pos in seen):
-                raise AlternatingStructureError(
-                    f"vertex {v} is a double tail")
-            seen.append((is_head, cid, pos))
+            if not is_head:
+                if v in tails:
+                    raise AlternatingStructureError(
+                        f"vertex {v} is a double tail")
+                tails.add(v)
+            places.setdefault(v, []).append((is_head, cid, pos))
     roles = {}
     for v, seen in places.items():
         if len(seen) != 2 or seen[0][1] == seen[1][1]:
             raise AlternatingStructureError(
                 f"vertex {v} does not lie on exactly two alternating cycles")
-        (tail_is_head, tc, tp), (_, hc, hp) = sorted(seen)
-        if tail_is_head:
+        (first_is_head, c0, p0), (second_is_head, c1, p1) = seen
+        if first_is_head and second_is_head:
             raise AlternatingStructureError(f"vertex {v} is a double head")
-        roles[v] = (tc, tp, hc, hp)
+        roles[v] = (c1, p1, c0, p0) if first_is_head else (c0, p0, c1, p1)
     return roles
 
 
@@ -184,21 +183,26 @@ def _jump_at(cycles, roles, v, ell):
     and q_h is the same with the two cycles swapped.
     """
     tc, tp, hc, hp = roles[v]
-    length = len(cycles[tc])
-    a = length // ell
+    return (_least_step(cycles[tc], tp, hc, hp, roles, ell, v),
+            _least_step(cycles[hc], hp, tc, tp, roles, ell, v))
 
-    def least_step(cid, pos, other, other_pos):
-        step = a
-        for w in (cycles[cid][(pos + ell) % length],
-                  cycles[cid][(pos - ell) % length]):
-            if other not in _pair(roles[w]):
-                raise AlternatingStructureError(
-                    f"jump parameters undefined at vertex {v}")
-            i = (_position(roles, w, other) - other_pos) % length // ell
-            step = min(step, i, a - i)
-        return step
 
-    return least_step(tc, tp, hc, hp), least_step(hc, hp, tc, tp)
+def _least_step(cycle, pos, other, other_pos, roles, ell, v):
+    """The least |attachment index| on cycle ``other``, relative to v at
+    ``other_pos``, of the two vertices ell positions from v on ``cycle``."""
+    length = len(cycle)
+    a = step = length // ell
+    for w in (cycle[(pos + ell) % length], cycle[pos - ell]):
+        wtc, wtp, whc, whp = roles[w]
+        if wtc == other:
+            i = (wtp - other_pos) % length // ell
+        elif whc == other:
+            i = (whp - other_pos) % length // ell
+        else:
+            raise AlternatingStructureError(
+                f"jump parameters undefined at vertex {v}")
+        step = min(step, i, a - i)
+    return step
 
 
 def analyze(og: OrientedGraph) -> AltStructure:

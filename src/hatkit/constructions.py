@@ -87,10 +87,6 @@ def geometric_sum(q: int, m: int, r: int) -> int:
     return total
 
 
-def _layer_vertex(i: int, j: int, m: int, r: int) -> int:
-    return (i % m) * r + (j % r)
-
-
 def _verify_generators(graph: Graph, gens, what: str) -> GroupByGenerators:
     for idx, g in enumerate(gens):
         if not is_automorphism(graph, g):
@@ -105,30 +101,19 @@ def build_xo(p: XoParams):
     canonical half-arc-transitive group.  Returns (Graph, GroupByGenerators)."""
     p.validate()
     m, r, q = p.m, p.r, p.q
-    edges = set()
+    layers = [(i * r, (i + 1) % m * r) for i in range(m)]  # (base, next)
+    edges = []
     qi = 1
-    for i in range(m):
+    for base, nxt in layers:
         for j in range(r):
-            edges.add(tuple(sorted((_layer_vertex(i, j, m, r),
-                                    _layer_vertex(i + 1, j + qi, m, r)))))
-            edges.add(tuple(sorted((_layer_vertex(i, j, m, r),
-                                    _layer_vertex(i + 1, j - qi, m, r)))))
+            edges += [(base + j, nxt + (j + qi) % r),
+                      (base + j, nxt + (j - qi) % r)]
         qi = (qi * q) % r
-    graph = build_graph(m * r, sorted(edges))
-
-    def rho(x):
-        i, j = divmod(x, r)
-        return _layer_vertex(i, j + 1, m, r)
-
-    def sigma(x):
-        i, j = divmod(x, r)
-        return _layer_vertex(i + 1, q * j, m, r)
-
-    def w(x):
-        i, j = divmod(x, r)
-        return _layer_vertex(i, -j, m, r)
-
-    gens = [Permutation.from_mapping(graph.n, f) for f in (rho, sigma, w)]
+    graph = build_graph(m * r, edges)
+    rho = [base + (j + 1) % r for base, _ in layers for j in range(r)]
+    sigma = [nxt + q * j % r for _, nxt in layers for j in range(r)]
+    w = [base + -j % r for base, _ in layers for j in range(r)]
+    gens = [Permutation(tuple(images)) for images in (rho, sigma, w)]
     group = _verify_generators(graph, gens, str(p))
     return graph, group
 
@@ -138,36 +123,27 @@ def build_xe(p: XeParams):
     canonical half-arc-transitive group.  Returns (Graph, GroupByGenerators)."""
     p.validate()
     m, r, q, t = p.m, p.r, p.q, p.t
-    edges = set()
+    # (layer base, next layer base, wraparound shift) per layer
+    layers = [(i * r, (i + 1) % m * r, t if i == m - 1 else 0)
+              for i in range(m)]
+    edges = []
     qi = 1
-    for i in range(m):
-        shift = t if i == m - 1 else 0
+    for base, nxt, shift in layers:
         for j in range(r):
-            edges.add(tuple(sorted((_layer_vertex(i, j, m, r),
-                                    _layer_vertex(i + 1, j + shift, m, r)))))
-            edges.add(tuple(sorted((_layer_vertex(i, j, m, r),
-                                    _layer_vertex(i + 1, j + qi + shift, m, r)))))
+            edges += [(base + j, nxt + (j + shift) % r),
+                      (base + j, nxt + (j + qi + shift) % r)]
         qi = (qi * q) % r
-    graph = build_graph(m * r, sorted(edges))
+    graph = build_graph(m * r, edges)
 
     # c_i = 1 + q + ... + q^(i-1); the constraint 1 + ... + q^(m-1) + 2t = 0
     # makes the reflection below wrap correctly at layer m-1
     c = [geometric_sum(q, i, r) for i in range(m)]
-
-    def rho(x):
-        i, j = divmod(x, r)
-        return _layer_vertex(i, j + 1, m, r)
-
-    def sigma(x):
-        i, j = divmod(x, r)
-        shift = t if i == m - 1 else 0
-        return _layer_vertex(i + 1, q * j + shift, m, r)
-
-    def w(x):
-        i, j = divmod(x, r)
-        return _layer_vertex(i, -j + c[i], m, r)
-
-    gens = [Permutation.from_mapping(graph.n, f) for f in (rho, sigma, w)]
+    rho = [base + (j + 1) % r for base, _, _ in layers for j in range(r)]
+    sigma = [nxt + (q * j + shift) % r
+             for _, nxt, shift in layers for j in range(r)]
+    w = [base + (ci - j) % r
+         for (base, _, _), ci in zip(layers, c) for j in range(r)]
+    gens = [Permutation(tuple(images)) for images in (rho, sigma, w)]
     group = _verify_generators(graph, gens, str(p))
     return graph, group
 

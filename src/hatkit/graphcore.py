@@ -47,6 +47,13 @@ class Graph:
         return frozenset(self.edges)
 
     @cached_property
+    def edge_codes(self) -> frozenset:
+        """u*n + v for both orders (u, v) of every edge."""
+        n = self.n
+        return frozenset([u * n + v for u, v in self.edges]
+                         + [v * n + u for u, v in self.edges])
+
+    @cached_property
     def arcs(self) -> tuple:
         out = []
         for u, v in self.edges:
@@ -101,19 +108,20 @@ def build_graph(n: int, edge_list) -> Graph:
             raise ValueError(f"endpoint out of range: ({u}, {v})")
         if u == v:
             raise LoopEdgeError(f"loop edge ({u}, {v})")
-        key = edge_key(u, v)
+        key = (u, v) if u < v else (v, u)
         if key in seen:
             raise DuplicateEdgeError(f"duplicate edge {key}")
         seen.add(key)
         adj[u].append(v)
         adj[v].append(u)
-    return Graph(n, tuple(tuple(sorted(nbrs)) for nbrs in adj))
+    return Graph(n, tuple(map(tuple, map(sorted, adj))))
 
 
 def is_automorphism(g: Graph, p: Permutation) -> bool:
     if p.degree != g.n:
         return False
-    return all(edge_key(p(u), p(v)) in g.edge_set for u, v in g.edges)
+    n, img = g.n, p.images
+    return g.edge_codes.issuperset([img[u] * n + img[v] for u, v in g.edges])
 
 
 def arc_act(a: tuple, p: Permutation) -> tuple:
@@ -127,23 +135,37 @@ class OrientedGraph:
 
     graph: Graph
     head_of: dict = field(compare=False)  # edge (u<v) -> head vertex
+    # set by __post_init__: each vertex's sorted out- and in-neighbours,
+    # and the chosen arcs (tail, head)
+    out_neighbors: tuple = field(init=False, compare=False, repr=False)
+    in_neighbors: tuple = field(init=False, compare=False, repr=False)
+    arc_set: frozenset = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         g = self.graph
         if not g.is_regular(4):
             raise ValueError("oriented graphs must be tetravalent")
-        indeg = [0] * g.n
-        outdeg = [0] * g.n
-        for (u, v), h in self.head_of.items():
-            if h not in (u, v):
-                raise ValueError(f"head {h} not an endpoint of {(u, v)}")
-            t = u if h == v else v
-            indeg[h] += 1
-            outdeg[t] += 1
-        if set(self.head_of) != g.edge_set:
+        if self.head_of.keys() != g.edge_set:
             raise ValueError("orientation must cover every edge exactly once")
-        if any(d != 2 for d in indeg) or any(d != 2 for d in outdeg):
+        out = [[] for _ in range(g.n)]
+        inn = [[] for _ in range(g.n)]
+        for (u, v), h in self.head_of.items():
+            if h == v:
+                t = u
+            elif h == u:
+                t = v
+            else:
+                raise ValueError(f"head {h} not an endpoint of {(u, v)}")
+            out[t].append(h)
+            inn[h].append(t)
+        if any(len(x) != 2 for x in out) or any(len(x) != 2 for x in inn):
             raise ValueError("orientation is not in/out 2-regular")
+        object.__setattr__(self, "out_neighbors",
+                           tuple(map(tuple, map(sorted, out))))
+        object.__setattr__(self, "in_neighbors",
+                           tuple(map(tuple, map(sorted, inn))))
+        object.__setattr__(self, "arc_set", frozenset(
+            [(t, h) for t, hs in enumerate(out) for h in hs]))
 
     def head(self, u: int, v: int) -> int:
         return self.head_of[edge_key(u, v)]
@@ -152,41 +174,8 @@ class OrientedGraph:
         h = self.head(u, v)
         return u if h == v else v
 
-    @cached_property
-    def out_neighbors(self) -> tuple:
-        out = [[] for _ in range(self.graph.n)]
-        for (u, v), h in self.head_of.items():
-            t = u if h == v else v
-            out[t].append(h)
-        return tuple(tuple(sorted(x)) for x in out)
-
-    @cached_property
-    def in_neighbors(self) -> tuple:
-        inn = [[] for _ in range(self.graph.n)]
-        for (u, v), h in self.head_of.items():
-            t = u if h == v else v
-            inn[h].append(t)
-        return tuple(tuple(sorted(x)) for x in inn)
-
-    @cached_property
-    def arc_set(self) -> frozenset:
-        """The chosen arc per edge (tail, head)."""
-        out = set()
-        for (u, v), h in self.head_of.items():
-            t = u if h == v else v
-            out.add((t, h))
-        return frozenset(out)
-
     def is_preserved_by(self, p: Permutation) -> bool:
         return all((p(t), p(h)) in self.arc_set for t, h in self.arc_set)
-
-
-def reverse_orientation(og: OrientedGraph) -> OrientedGraph:
-    """Swap every head and tail; involutive."""
-    flipped = {}
-    for (u, v), h in og.head_of.items():
-        flipped[(u, v)] = u if h == v else v
-    return OrientedGraph(og.graph, flipped)
 
 
 def orientation_from_arcs(g: Graph, arcs) -> OrientedGraph:
@@ -222,10 +211,20 @@ def certify_hat(graph: Graph, group: GroupByGenerators) -> OrientedGraph:
         if not is_automorphism(graph, gen):
             raise NotAutomorphismError(i)
 
-    orbit = group.orbit(min(graph.arcs), arc_act)
+    # the orbit of the least arc, from vertex 0 to its least neighbour,
+    # searched on the generators' image tuples
+    gens = [gen.images for gen in group.generators]
+    orbit = [(0, graph.adjacency[0][0])]
+    seen = set(orbit)
+    for t, h in orbit:
+        for img in gens:
+            arc = (img[t], img[h])
+            if arc not in seen:
+                seen.add(arc)
+                orbit.append(arc)
     if len({t for t, _h in orbit}) != graph.n:
         raise NotVertexTransitiveError("group is not transitive on vertices")
-    head_of = {edge_key(t, h): h for t, h in orbit}
+    head_of = {(t, h) if t < h else (h, t): h for t, h in orbit}
     if len(head_of) != len(graph.edges):
         raise NotEdgeTransitiveError("group is not transitive on edges")
     if len(orbit) == 2 * len(graph.edges):

@@ -119,7 +119,7 @@ def alt_graph(s: AltStructure) -> Graph:
     return build_graph(len(s.cycles), s.cycle_pairs)
 
 
-def kernels(g: Graph, group: GroupByGenerators, s: AltStructure) -> dict:
+def kernels(group: GroupByGenerators, s: AltStructure) -> dict:
     """The three setwise-fixing kernels, each a kernel on a partition of
     the vertices: K_alt on the alternating cycles, K_B on the half-step
     blocks and K_A on the attachment sets.  For even ell the half-step
@@ -342,7 +342,7 @@ class Analysis:
 
     @cached_property
     def kernels(self) -> dict:
-        return kernels(self.graph, self.group, self.structure)
+        return kernels(self.group, self.structure)
 
     @cached_property
     def kernels_equal(self) -> bool:

@@ -1,8 +1,128 @@
 """Oracles shared by the tests, written independently of the library's
 stabilizer chains, block actions, jump-pair reading, splitter-queue
-refinement and doubled-graph swapper search."""
+refinement, doubled-graph swapper search and alternating-cycle traversal."""
 
+from hatkit.errors import (
+    AlternatingStructureError,
+    ArcTransitiveError,
+    NotAutomorphismError,
+    NotEdgeTransitiveError,
+    NotVertexTransitiveError,
+)
+from hatkit.graphcore import OrientedGraph, arc_act, edge_key
 from hatkit.perm import Permutation
+
+
+def is_automorphism(g, p) -> bool:
+    """The definition: p has degree n and maps the edge set onto itself."""
+    return p.degree == g.n and {
+        edge_key(p(u), p(v)) for u, v in g.edges} == g.edge_set
+
+
+def certified_heads(graph, group) -> dict:
+    """The head_of of the orientation that certifies a HAT action: the
+    orbit of the least arc under ``group.orbit``, one head per edge.
+    Raises what ``certify_hat`` raises, checked in the same order."""
+    if not graph.is_regular(4):
+        raise ValueError("not tetravalent")
+    graph.require_connected()
+    for i, gen in enumerate(group.generators):
+        if not is_automorphism(graph, gen):
+            raise NotAutomorphismError(i)
+    orbit = group.orbit(min(graph.arcs), arc_act)
+    if len({t for t, _h in orbit}) != graph.n:
+        raise NotVertexTransitiveError("not vertex-transitive")
+    head_of = {edge_key(t, h): h for t, h in orbit}
+    if len(head_of) != len(graph.edges):
+        raise NotEdgeTransitiveError("not edge-transitive")
+    if len(orbit) == 2 * len(graph.edges):
+        raise ArcTransitiveError("arc-transitive")
+    return head_of
+
+
+def reverse_orientation(og):
+    """Swap every head and tail; involutive."""
+    flipped = {}
+    for (u, v), h in og.head_of.items():
+        flipped[(u, v)] = u if h == v else v
+    return OrientedGraph(og.graph, flipped)
+
+
+def alternating_cycles(og) -> list:
+    """The alternating cycles in order of least edge, each normalized by
+    ``normalize`` and walked edge by edge through ``head_of`` lookups:
+    entering a vertex as the head of an edge, leave through the other edge
+    having it as head, and dually for tails."""
+    unused = set(og.graph.edge_set)
+    cycles = []
+    while unused:
+        e0 = min(unused)
+        h0 = og.head_of[e0]
+        t0 = e0[0] if h0 == e0[1] else e0[1]
+        cycle = []
+        v, e = t0, e0
+        while True:
+            cycle.append(v)
+            if e not in unused:
+                raise AlternatingStructureError(
+                    f"edge {e} revisited during traversal")
+            unused.discard(e)
+            w = e[0] if e[1] == v else e[1]
+            if og.head_of[e] == w:
+                candidates = [(x, edge_key(x, w)) for x in og.in_neighbors[w]]
+            else:
+                candidates = [(x, edge_key(w, x)) for x in og.out_neighbors[w]]
+            nxt = [(x, ek) for x, ek in candidates if ek != e]
+            if len(nxt) != 1:
+                raise AlternatingStructureError(
+                    f"ambiguous continuation at vertex {w}")
+            v, e = w, nxt[0][1]
+            if v == t0 and e == e0:
+                break
+        cycles.append(tuple(cycle))
+    return [normalize(c) for c in cycles]
+
+
+def normalize(cycle: tuple) -> tuple:
+    """Rotate to put the least vertex first; orient so the second vertex is
+    the lesser of the two neighbors of the first."""
+    i = cycle.index(min(cycle))
+    rotated = cycle[i:] + cycle[:i]
+    if rotated[-1] < rotated[1]:
+        rotated = (rotated[0],) + tuple(reversed(rotated[1:]))
+    return rotated
+
+
+def vertex_roles(og, cycles) -> dict:
+    """vertex -> (tail cycle, tail position, head cycle, head position),
+    read from ``head_of`` at every cycle position."""
+    places = {}  # vertex -> [(is head, cid, pos)]
+    for cid, cycle in enumerate(cycles):
+        length = len(cycle)
+        for pos, v in enumerate(cycle):
+            prev_v = cycle[pos - 1]
+            next_v = cycle[(pos + 1) % length]
+            prev_head = og.head_of[edge_key(prev_v, v)]
+            next_head = og.head_of[edge_key(v, next_v)]
+            if (prev_head == v) != (next_head == v):
+                raise AlternatingStructureError(
+                    f"cycle {cid} is not alternating at vertex {v}")
+            is_head = prev_head == v
+            seen = places.setdefault(v, [])
+            if not is_head and any(not h for h, _cid, _pos in seen):
+                raise AlternatingStructureError(
+                    f"vertex {v} is a double tail")
+            seen.append((is_head, cid, pos))
+    roles = {}
+    for v, seen in places.items():
+        if len(seen) != 2 or seen[0][1] == seen[1][1]:
+            raise AlternatingStructureError(
+                f"vertex {v} does not lie on exactly two alternating cycles")
+        (tail_is_head, tc, tp), (_, hc, hp) = sorted(seen)
+        if tail_is_head:
+            raise AlternatingStructureError(f"vertex {v} is a double head")
+        roles[v] = (tc, tp, hc, hp)
+    return roles
 
 
 def closure(group) -> frozenset:

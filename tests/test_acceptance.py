@@ -47,7 +47,7 @@ def walk():
 
 def full_pipeline(g, grp):
     s = analyze(certify_hat(g, grp))
-    ks = quotients.kernels(g, grp, s)
+    ks = quotients.kernels(grp, s)
     return s, ks
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from hatkit.alternating import (
+    _vertex_roles,
     alt_bipartition,
     alternating_cycles,
     analyze,
@@ -35,11 +36,11 @@ from hatkit.graphcore import (
     certify_hat,
     edge_key,
     orientation_from_arcs,
-    reverse_orientation,
 )
 from hatkit.harness import instance_pool
 from hatkit.quotients import kernels
-from oracles import jump_at
+import oracles
+from oracles import jump_at, reverse_orientation
 from test_harness import SMALL
 
 
@@ -107,6 +108,35 @@ class TestAlternatingCycles:
         for c in alternating_cycles(oriented(g, grp)):
             assert c[0] == min(c)
             assert c[1] < c[-1]
+
+    def test_traversal_and_roles_match_lookup_oracle(self):
+        orientations = [loose_orientation(7)]
+        for _key, rec in instance_pool(SMALL):
+            orientations += [rec.orientation,
+                             reverse_orientation(rec.orientation)]
+        for og in orientations:
+            cycles = alternating_cycles(og)
+            assert cycles == oracles.alternating_cycles(og)
+            assert (list(_vertex_roles(og, cycles).items())
+                    == list(oracles.vertex_roles(og, cycles).items()))
+
+    def test_role_checks_match_lookup_oracle(self):
+        n = 9
+        og = orientation_from_arcs(
+            build_circulant(n, {1, -1, 2, -2}),
+            [(x, (x + d) % n) for x in range(n) for d in (1, 2)])
+        (cycle,) = alternating_cycles(og)  # through every vertex twice
+        bad = {"not alternating at vertex 0": [tuple(range(n))],
+               "double tail": [cycle, cycle],
+               "exactly two": [cycle],
+               "vertex 2 is a double head": [(2, 1), (2, 0)]}
+        for message, cycles in bad.items():
+            with pytest.raises(AlternatingStructureError,
+                               match=message) as got:
+                _vertex_roles(og, cycles)
+            with pytest.raises(AlternatingStructureError) as want:
+                oracles.vertex_roles(og, cycles)
+            assert str(got.value) == str(want.value)
 
     def test_vertex_repeating_walk_rejected(self):
         # K5 oriented x -> x+1, x -> x+2: the walk revisits vertices
@@ -290,7 +320,7 @@ class TestRotationProfile:
         og = oriented(g, grp)
         s = analyze(og)
         kinds = set()
-        for p in kernels(g, grp, s)["K_alt"].elements():
+        for p in kernels(grp, s)["K_alt"].elements():
             kinds |= {kind for kind, _ in rotation_profile(p, s).values()}
         assert kinds == {"rotation", "reflection"}
 

@@ -27,11 +27,10 @@ from hatkit.graphcore import (
     certify_hat,
     edge_key,
     is_automorphism,
-    reverse_orientation,
 )
 from hatkit.harness import instance_pool
 from hatkit.perm import Permutation
-from oracles import closure, orbit_swapper, refine
+from oracles import closure, orbit_swapper, refine, reverse_orientation
 from test_harness import SMALL
 
 

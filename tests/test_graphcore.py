@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hatkit.constructions import build_circulant, build_wreath, wreath_hat_group
@@ -5,6 +7,7 @@ from hatkit.errors import (
     ArcTransitiveError,
     DisconnectedError,
     DuplicateEdgeError,
+    HatkitError,
     LoopEdgeError,
     NotAutomorphismError,
     NotEdgeTransitiveError,
@@ -17,9 +20,12 @@ from hatkit.graphcore import (
     edge_key,
     is_automorphism,
     orientation_from_arcs,
-    reverse_orientation,
 )
+from hatkit.harness import instance_pool
 from hatkit.perm import GroupByGenerators, Permutation
+from oracles import certified_heads, reverse_orientation
+from oracles import is_automorphism as automorphism_by_definition
+from test_harness import SMALL
 
 
 def cycle_graph(n):
@@ -66,6 +72,24 @@ class TestAutomorphism:
         g = cycle_graph(5)
         assert not is_automorphism(g, Permutation((1, 0, 2, 3, 4)))
 
+    def test_matches_definition_on_small_grid(self):
+        rng = random.Random(20)
+        verdicts = set()
+        for key, rec in instance_pool(SMALL):
+            g = rec.graph
+            perms = list(rec.group.generators)
+            perms += [Permutation(tuple(rng.sample(range(g.n), g.n)))
+                      for _ in range(20)]
+            perms += [Permutation.from_mapping(
+                g.n, lambda y, x=x: {0: x, x: 0}.get(y, y))
+                for x in range(1, g.n)]
+            perms.append(Permutation.identity(g.n + 1))
+            for p in perms:
+                want = automorphism_by_definition(g, p)
+                assert is_automorphism(g, p) == want, (key, p)
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
 
 def circulant_orientation(n):
     """Orient Circ_n({+-1, +-2}) as x -> x+1, x -> x+2."""
@@ -95,6 +119,18 @@ class TestOrientedGraph:
         g = cycle_graph(4)
         with pytest.raises(ValueError):
             OrientedGraph(g, {e: max(e) for e in g.edges})
+
+    def test_head_off_its_edge_rejected(self):
+        og = circulant_orientation(7)
+        with pytest.raises(ValueError, match="head 3 not an endpoint"):
+            OrientedGraph(og.graph, {**og.head_of, (0, 1): 3})
+
+    def test_uncovered_edge_rejected(self):
+        og = circulant_orientation(7)
+        head_of = dict(og.head_of)
+        del head_of[(0, 1)]
+        with pytest.raises(ValueError, match="cover every edge"):
+            OrientedGraph(og.graph, head_of)
 
     def test_reverse_is_involutive(self):
         og = circulant_orientation(9)
@@ -155,3 +191,38 @@ class TestCertifyHat:
         og = certify_hat(build_wreath(6), wreath_hat_group(6))
         covered = {edge_key(t, h) for t, h in og.arc_set}
         assert covered == og.graph.edge_set
+
+    def test_matches_orbit_oracle(self):
+        """certify_hat gives the head_of of the least arc's orbit on every
+        small-grid pair, and the oracle's error class on every input the
+        tests above reject."""
+        k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+        c8 = build_circulant(8, {1, -1, 3, -3})
+        shift = Permutation.from_mapping(8, lambda x: (x + 1) % 8)
+        cases = [(rec.graph, rec.group) for _key, rec in instance_pool(SMALL)]
+        cases += [
+            (build_wreath(4), GroupByGenerators(
+                (Permutation((2, 1, 0) + tuple(range(3, 8))),))),
+            (k5, GroupByGenerators((Permutation((1, 0, 2, 3, 4)),
+                                    Permutation((1, 2, 3, 4, 0))))),
+            (build_circulant(8, {1, -1, 2, -2}), GroupByGenerators.trivial(8)),
+            (c8, GroupByGenerators((shift,))),
+            (c8, GroupByGenerators((shift, Permutation.from_mapping(
+                8, lambda x: (-x) % 8)))),
+            (cycle_graph(5), GroupByGenerators((Permutation((1, 2, 3, 4, 0)),))),
+        ]
+        outcomes = set()
+        for g, grp in cases:
+            try:
+                want = certified_heads(g, grp)
+            except (HatkitError, ValueError) as exc:
+                with pytest.raises((HatkitError, ValueError)) as got:
+                    certify_hat(g, grp)
+                assert type(got.value) is type(exc)
+                outcomes.add(type(exc))
+            else:
+                assert certify_hat(g, grp).head_of == want
+                outcomes.add(dict)
+        assert outcomes == {dict, NotAutomorphismError, ArcTransitiveError,
+                            NotVertexTransitiveError, NotEdgeTransitiveError,
+                            ValueError}

@@ -136,7 +136,7 @@ class TestAltGraph:
 class TestKernels:
     def test_reference_kernels(self):
         g, grp = build_xo(XoParams(3, 9, 2))
-        ks = kernels(g, grp, analyzed(g, grp))
+        ks = kernels(grp, analyzed(g, grp))
         assert (closure(ks["K_alt"]) == closure(ks["K_B"])
                 == closure(ks["K_A"]))
         assert ks["K_alt"].order() == 18
@@ -146,23 +146,23 @@ class TestKernels:
         n = 5
         g = build_wreath(n)
         grp = wreath_hat_group(n)
-        ks = kernels(g, grp, analyzed(g, grp))
+        ks = kernels(grp, analyzed(g, grp))
         assert str(group_structure(ks["K_alt"])) == f"ElemAbelian2({n})"
 
     def test_degenerate_kernel_dihedral(self):
         g, grp = special_circulant_k44()
-        ks = kernels(g, grp, analyzed(g, grp))
+        ks = kernels(grp, analyzed(g, grp))
         assert str(group_structure(ks["K_alt"])) == "Dihedral(8)"
 
     def test_arc_graph_kernel_trivial(self):
         g, grp = k4_arc_instance()
-        ks = kernels(g, grp, analyzed(g, grp))
+        ks = kernels(grp, analyzed(g, grp))
         assert ks["K_alt"].order() == 1
 
 
 def classified(g, grp):
     s = analyzed(g, grp)
-    return classify_kernel(s, group_structure(kernels(g, grp, s)["K_alt"]))
+    return classify_kernel(s, group_structure(kernels(grp, s)["K_alt"]))
 
 
 class TestClassify:
@@ -203,7 +203,7 @@ class TestQuotientAction:
         g, grp = build_xo(XoParams(3, 9, 2))
         s = analyzed(g, grp)
         b = attachment_partition(s)
-        ks = kernels(g, grp, s)
+        ks = kernels(grp, s)
         induced = quotient_action(grp, b, kernel=ks["K_A"])
         assert induced.order() == grp.order() // ks["K_A"].order()
 

@@ -2,6 +2,7 @@
 is, so a changed signature cannot silently break them."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -32,3 +33,15 @@ def test_survey_instances(monkeypatch, capsys):
     assert lines[0].split()[:3] == ["instance", "n", "r"]
     assert len(lines) == 1 + sum(1 for _ in survey.instance_pool(SMALL))
     assert not any("error" in line for line in lines)
+
+
+def test_stage_times(monkeypatch, tmp_path):
+    stage_times = load("stage_times")
+    monkeypatch.setattr(stage_times, "GridConfig", lambda: SMALL)
+    out = tmp_path / "stages.json"
+    stage_times.main(["-o", str(out)])
+    doc = json.loads(out.read_text())
+    assert doc["instances"] == sum(1 for _ in stage_times.instance_pool(SMALL))
+    assert set(doc["stages_s"]) == {"construct", "certify", "analyze",
+                                    "kernels"}
+    assert all(t > 0 for t in doc["stages_s"].values())
