@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .errors import SearchBudgetExceededError
-from .graphcore import (Graph, OrientedGraph, arc_act, build_graph,
+from .graphcore import (Graph, OrientedGraph, arc_transitive, build_graph,
                         is_automorphism)
 from .perm import GroupByGenerators, Permutation
 
@@ -248,7 +248,7 @@ def are_isomorphic(g1: Graph, g2: Graph,
 
 def is_arc_transitive(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """True iff the full automorphism group has a single orbit on arcs."""
-    return automorphism_group(g, budget).is_transitive(g.arcs, arc_act)
+    return arc_transitive(g, automorphism_group(g, budget))
 
 
 def has_orbit_swapper(og: OrientedGraph) -> bool:

@@ -46,7 +46,7 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .fileio import bundle_to_json, format_edgelist, to_dot
-from .graphcore import arc_act
+from .graphcore import arc_transitive
 
 _EXIT_CODES = (
     ((ParseError, ValueError, LoopEdgeError, DuplicateEdgeError,
@@ -165,7 +165,7 @@ def cmd_aut(args):
     _emit({
         "order": aut.order(),
         "generators": [list(p.images) for p in aut.generators],
-        "arc_transitive": aut.is_transitive(g.arcs, arc_act),
+        "arc_transitive": arc_transitive(g, aut),
     }, args)
 
 

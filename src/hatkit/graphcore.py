@@ -124,8 +124,28 @@ def is_automorphism(g: Graph, p: Permutation) -> bool:
     return g.edge_codes.issuperset([img[u] * n + img[v] for u, v in g.edges])
 
 
-def arc_act(a: tuple, p: Permutation) -> tuple:
-    return (p(a[0]), p(a[1]))
+def arc_orbit(graph: Graph, group: GroupByGenerators) -> list:
+    """The orbit of the least arc, searched on the generators' image
+    tuples, starting with that arc; empty for a graph without edges.  The
+    group is transitive on arcs exactly when the orbit has 2|E| > 0
+    arcs."""
+    if not graph.edges:
+        return []
+    gens = [gen.images for gen in group.generators]
+    orbit = [graph.edges[0]]
+    seen = set(orbit)
+    for t, h in orbit:
+        for img in gens:
+            arc = (img[t], img[h])
+            if arc not in seen:
+                seen.add(arc)
+                orbit.append(arc)
+    return orbit
+
+
+def arc_transitive(graph: Graph, group: GroupByGenerators) -> bool:
+    """Does the group have one orbit on the arcs, and are there any?"""
+    return 0 < len(arc_orbit(graph, group)) == 2 * len(graph.edges)
 
 
 @dataclass(frozen=True)
@@ -167,13 +187,6 @@ class OrientedGraph:
         object.__setattr__(self, "arc_set", frozenset(
             [(t, h) for t, hs in enumerate(out) for h in hs]))
 
-    def head(self, u: int, v: int) -> int:
-        return self.head_of[edge_key(u, v)]
-
-    def tail(self, u: int, v: int) -> int:
-        h = self.head(u, v)
-        return u if h == v else v
-
     def is_preserved_by(self, p: Permutation) -> bool:
         return all((p(t), p(h)) in self.arc_set for t, h in self.arc_set)
 
@@ -211,17 +224,7 @@ def certify_hat(graph: Graph, group: GroupByGenerators) -> OrientedGraph:
         if not is_automorphism(graph, gen):
             raise NotAutomorphismError(i)
 
-    # the orbit of the least arc, from vertex 0 to its least neighbour,
-    # searched on the generators' image tuples
-    gens = [gen.images for gen in group.generators]
-    orbit = [(0, graph.adjacency[0][0])]
-    seen = set(orbit)
-    for t, h in orbit:
-        for img in gens:
-            arc = (img[t], img[h])
-            if arc not in seen:
-                seen.add(arc)
-                orbit.append(arc)
+    orbit = arc_orbit(graph, group)
     if len({t for t, _h in orbit}) != graph.n:
         raise NotVertexTransitiveError("group is not transitive on vertices")
     head_of = {(t, h) if t < h else (h, t): h for t, h in orbit}

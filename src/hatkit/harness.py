@@ -30,7 +30,7 @@ from .constructions import (
 )
 from .errors import HatkitError, ParseError, PreconditionFailedError
 from .fileio import bundle_from_json, graph6_decode, parse_edgelist
-from .graphcore import Graph, arc_act, build_graph
+from .graphcore import Graph, arc_transitive, build_graph
 # hatbench's tracing test reads hatkit.harness.certify_hat
 from .graphcore import certify_hat  # noqa: F401
 from .perm import GroupByGenerators
@@ -196,12 +196,13 @@ def analyze_instance(g: Graph, group: Optional[GroupByGenerators],
     else:
         rec = Analysis(g, group)
         report.update(rec.structure.summary())
-        report["group_order"] = group.order()
         report["kernel_case"] = rec.kernel_case.case
         report["kernel_structure"] = str(rec.kernel_case.observed)
         report["kernels"] = {
             name: {"order": k.order(), "structure": str(rec.tags[name])}
             for name, k in rec.kernels.items()}
+        # the kernels' chain, now built, is the group's chain too
+        report["group_order"] = group.order()
         report["kernels_equal"] = rec.kernels_equal
         try:
             report["quotient"] = rec.pipeline
@@ -212,7 +213,7 @@ def analyze_instance(g: Graph, group: Optional[GroupByGenerators],
         aut = autsearch.automorphism_group(g)
         report["aut_order"] = aut.order()
         if group is None:
-            report["arc_transitive"] = aut.is_transitive(g.arcs, arc_act)
+            report["arc_transitive"] = arc_transitive(g, aut)
         else:
             report["orbit_swapper"] = autsearch.has_orbit_swapper(
                 rec.orientation)

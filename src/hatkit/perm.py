@@ -108,9 +108,10 @@ class StabilizerChain:
     ``base`` starts with the given prefix; further points are appended as
     needed, each the least point moved by the generator that needs it.
     ``strong[i]`` holds the strong generators fixing ``base[:i]``; they
-    generate the pointwise stabilizer G_i of ``base[:i]``.
-    ``transversal[i]`` maps each point of the G_i-orbit of ``base[i]`` to
-    a pair (u, u^-1) with u carrying ``base[i]`` to that point.
+    generate the pointwise stabilizer G_i of ``base[:i]``, and
+    ``inverses[i]`` holds their inverses.  ``transversal[i]`` maps each
+    point of the G_i-orbit of ``base[i]`` to a pair (u, u^-1) with u
+    carrying ``base[i]`` to that point.
     """
 
     def __init__(self, generators: Iterable[tuple], degree: int,
@@ -118,6 +119,7 @@ class StabilizerChain:
         self.identity = tuple(range(degree))
         self.base = []
         self.strong = []
+        self.inverses = []
         self.transversal = []
         # per level: (point, strong index) pairs whose Schreier generator
         # sifts to the identity
@@ -132,6 +134,7 @@ class StabilizerChain:
     def _add_level(self, b: int) -> None:
         self.base.append(b)
         self.strong.append([])
+        self.inverses.append([])
         self.transversal.append({b: (self.identity, self.identity)})
         self._checked.append(set())
 
@@ -144,26 +147,29 @@ class StabilizerChain:
         if last is None:
             last = len(self.base)
             self._add_level(next(x for x, y in enumerate(h) if x != y))
+        h_inv = _inverse(h)
         for level in range(first, last + 1):
             self.strong[level].append(h)
+            self.inverses[level].append(h_inv)
             self._extend(level)
         return last
 
     def _extend(self, i: int) -> None:
-        """Close the orbit of ``base[i]`` under ``strong[i]``.  Existing
-        transversal entries never change, so a sift that once reached the
-        identity always does.  The Schreier generator of a pair (b, k) that
-        defines a new entry is the identity, so the pair is marked checked."""
+        """Close the orbit of ``base[i]`` under ``strong[i]``.  A new entry
+        u*g has inverse g^-1 * u^-1.  Existing transversal entries never
+        change, so a sift that once reached the identity always does.  The
+        Schreier generator of a pair (b, k) that defines a new entry is the
+        identity, so the pair is marked checked."""
         trans = self.transversal[i]
         checked = self._checked[i]
+        gens = list(enumerate(zip(self.strong[i], self.inverses[i])))
         queue = list(trans)
         for b in queue:
-            u = trans[b][0]
-            for k, g in enumerate(self.strong[i]):
+            u, u_inv = trans[b]
+            for k, (g, g_inv) in gens:
                 c = g[b]
                 if c not in trans:
-                    w = _mul(u, g)
-                    trans[c] = (w, _inverse(w))
+                    trans[c] = (_mul(u, g), _mul(g_inv, u_inv))
                     checked.add((b, k))
                     queue.append(c)
 
@@ -210,33 +216,58 @@ class StabilizerChain:
             else:
                 i = self._add_strong(found, i + 1)
 
-    def order(self) -> int:
-        return prod(len(trans) for trans in self.transversal)
+    def order(self, start: int = 0) -> int:
+        """The order of G_start."""
+        return prod(len(trans) for trans in self.transversal[start:])
 
     def __contains__(self, g: tuple) -> bool:
         return self.sift(g) == self.identity
 
-    def elements(self) -> list:
-        """Every element, once: an element of G_i is an element of G_i+1
-        followed by one transversal entry of level i.  Only
+    def elements(self, start: int = 0) -> list:
+        """Every element of G_start, once: an element of G_i is an element
+        of G_i+1 followed by one transversal entry of level i.  Only
         ``GroupByGenerators.elements`` calls this."""
         out = [self.identity]
-        for trans in reversed(self.transversal):
+        for trans in reversed(self.transversal[start:]):
             out = [_mul(h, u) for h in out for u, _inv in trans.values()]
         return out
+
+
+class BlockChainLevel:
+    """The subgroup G_level of a chain whose points are k block points
+    followed by n vertices, read on the vertices: the chain of a kernel
+    that ``action_kernel`` builds.  ``lift`` maps a vertex permutation to
+    the chain's points, or to None when it does not permute the blocks."""
+
+    def __init__(self, chain: StabilizerChain, level: int, k: int,
+                 lift: Callable[[tuple], Optional[tuple]]):
+        self.chain, self.level, self.k, self.lift = chain, level, k, lift
+
+    def order(self) -> int:
+        return self.chain.order(self.level)
+
+    def __contains__(self, p: tuple) -> bool:
+        h = self.lift(p)
+        return (h is not None
+                and self.chain.sift(h, self.level) == self.chain.identity)
+
+    def elements(self) -> list:
+        k = self.k
+        return [tuple(y - k for y in e[k:])
+                for e in self.chain.elements(self.level)]
 
 
 @dataclass
 class GroupByGenerators:
     """A permutation group given by generators.  Order, membership and, on
-    request, the element set come from a stabilizer chain built on first
-    use."""
+    request, the element set come from a stabilizer chain: one built on
+    first use, or a level of the chain ``action_kernel`` builds."""
 
     generators: tuple
     degree: int = field(default=None)
     _elements: Optional[frozenset] = field(default=None, repr=False, compare=False)
-    _chain: Optional[StabilizerChain] = field(default=None, repr=False,
-                                              compare=False)
+    _chain: Optional[StabilizerChain | BlockChainLevel] = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
@@ -265,7 +296,7 @@ class GroupByGenerators:
         return self._elements
 
     @property
-    def chain(self) -> StabilizerChain:
+    def chain(self) -> StabilizerChain | BlockChainLevel:
         if self._chain is None:
             self._chain = StabilizerChain(
                 (p.images for p in self.generators), self.degree)
@@ -301,53 +332,97 @@ class GroupByGenerators:
             remaining -= orb
         return out
 
-    def is_transitive(self, points: Iterable, act: Callable = None) -> bool:
-        pts = set(points)
-        if not pts:
-            return False
-        first = next(iter(pts))
-        return self.orbit(first, act) >= pts
-
     def with_extra_generator(self, p: Permutation) -> "GroupByGenerators":
         return GroupByGenerators(self.generators + (p,), degree=self.degree)
 
 
+def _block_image(images: tuple, blocks: Sequence, block_of: dict,
+                 indices: set) -> Optional[tuple]:
+    """The permutation of ``blocks`` by the point images, as a tuple of
+    the ``indices`` that ``block_of`` gives them, or None if the images do
+    not permute the blocks.  They do when each block maps into one block
+    and no two into the same one: each image then fits in its target and
+    the sizes sum alike, so it fills it."""
+    out = tuple(j for blk in blocks for j in {block_of.get(images[v])
+                                              for v in blk})
+    return out if len(out) == len(blocks) and set(out) == indices else None
+
+
 def block_images(g: GroupByGenerators, blocks: Sequence) -> list:
     """Each generator's permutation of the disjoint ``blocks``, as the
-    image tuple of block indices.  A generator permutes the blocks when it
-    maps each into one block and no two into the same one: each image
-    then fits in its target and the sizes sum alike, so it fills it.
-    Raises BlocksNotInvariantError otherwise."""
+    image tuple of block indices.  Raises BlocksNotInvariantError if a
+    generator does not permute them."""
     block_of = {v: k for k, blk in enumerate(blocks) for v in blk}
     indices = set(range(len(blocks)))
     out = []
     for i, p in enumerate(g.generators):
-        images = tuple(j for blk in blocks
-                       for j in {block_of.get(p.images[v]) for v in blk})
-        if len(images) != len(blocks) or set(images) != indices:
+        images = _block_image(p.images, blocks, block_of, indices)
+        if images is None:
             raise BlocksNotInvariantError(
                 f"generator {i} does not permute the blocks")
         out.append(images)
     return out
 
 
-def action_kernel(g: GroupByGenerators, blocks: Sequence) -> GroupByGenerators:
-    """Subgroup of all elements fixing every one of the disjoint ``blocks``
-    setwise.
+def action_kernel(g: GroupByGenerators, *partitions: Sequence) -> list:
+    """The kernels of g's actions on the first 1, 2, ... of the
+    ``partitions``, each a sequence of disjoint blocks, from one chain.
 
-    Each generator becomes a permutation of the k blocks and the n points
-    together, blocks first.  With the k block points first in the base of
-    its stabilizer chain, the strong generators that fix them all,
-    restricted to the points, generate the kernel.  Raises
-    BlocksNotInvariantError if a generator does not permute the blocks.
+    Each generator becomes a permutation of the k blocks of all partitions
+    and the n points together, blocks first, and the block points open
+    the base in order.  The level after the blocks of the first i
+    partitions is their kernel: its strong generators, restricted to the
+    points, generate it, and it reads order and membership from the
+    levels from there on.  Kernels with only one-point orbits between
+    their levels are equal and are one object.  Level 0 is g itself,
+    which takes it as its chain if it has none: the action on the points
+    is faithful, so |g| is the product of all the transversal sizes.
+    Raises BlocksNotInvariantError if a generator does not permute the
+    blocks of some partition.
     """
-    k = len(blocks)
-    gens = [images + tuple(k + y for y in p.images)
-            for images, p in zip(block_images(g, blocks), g.generators)]
-    chain = StabilizerChain(gens, k + g.degree, base=range(k))
-    strong = chain.strong[k] if len(chain.base) > k else ()
-    kernel = tuple(Permutation(tuple(y - k for y in s[k:])) for s in strong)
-    return GroupByGenerators(kernel, degree=g.degree)
+    n = g.degree
+    # per partition: its blocks, block_of and index set, the blocks
+    # numbered on from those of the partitions before it
+    tables = []
+    k = 0
+    for blocks in partitions:
+        tables.append((blocks, {v: k + j for j, blk in enumerate(blocks)
+                                for v in blk},
+                       set(range(k, k + len(blocks)))))
+        k += len(blocks)
+
+    def lift(images: tuple) -> Optional[tuple]:
+        out = ()
+        for table in tables:
+            part = _block_image(images, *table)
+            if part is None:
+                return None
+            out += part
+        return out + tuple(k + y for y in images)
+
+    gens = []
+    for i, p in enumerate(g.generators):
+        images = lift(p.images)
+        if images is None:
+            raise BlocksNotInvariantError(
+                f"generator {i} does not permute the blocks")
+        gens.append(images)
+    chain = StabilizerChain(gens, k + n, base=range(k))
+    if g._chain is None:
+        g._chain = BlockChainLevel(chain, 0, k, lift)
+    out = []
+    level, group = 0, g
+    for blocks in partitions:
+        cut = level + len(blocks)
+        if any(len(t) > 1 for t in chain.transversal[level:cut]):
+            strong = chain.strong[cut] if cut < len(chain.base) else ()
+            group = GroupByGenerators(
+                tuple(Permutation(tuple(y - k for y in s[k:]))
+                      for s in strong), degree=n,
+                _chain=BlockChainLevel(chain, cut, k, lift))
+        out.append(group)
+        level = cut
+    return out
 
 
 @dataclass(frozen=True)

@@ -122,25 +122,47 @@ def alt_graph(s: AltStructure) -> Graph:
 def kernels(group: GroupByGenerators, s: AltStructure) -> dict:
     """The three setwise-fixing kernels, each a kernel on a partition of
     the vertices: K_alt on the alternating cycles, K_B on the half-step
-    blocks and K_A on the attachment sets.  For even ell the half-step
-    blocks are the attachment sets, so K_A is K_B.
+    blocks and K_A on the attachment sets, all read from one stabilizer
+    chain.  For even ell the half-step blocks are the attachment sets, so
+    K_A is K_B.
 
     K_alt fixes each cycle's edge set; it is the kernel on the partition
-    of V by tail cycle.  Every vertex is the tail of both its arcs on
+    T of V by tail cycle.  Every vertex is the tail of both its arcs on
     exactly one cycle, so a cycle's 2r edges are the out-arcs of its r
     tail vertices.  The group preserves the orientation, which
     ``certify_hat`` defines as a group orbit, so an element fixes a
     cycle's edge set exactly when it fixes the cycle's tail set.  In the
     degenerate case a = 2r the two Hamilton cycles have disjoint tail
     sets, so the partition still tells them apart.
+
+    ``action_kernel`` builds one chain on T, the attachment sets A and,
+    for odd ell, the half-step blocks B, in that order; its levels after
+    T, after T and A and after all three are K_alt, K_alt ∩ K_A and
+    K_alt ∩ K_A ∩ K_B.  Two facts make these the three kernels:
+
+    - B refines both T and A: a half-step block is the half of an
+      attachment set whose vertices share their tail cycle.  So K_B
+      fixes every block of T and A, and the last level is K_B.
+    - For a < 2r, K_A ≤ K_alt.  A cycle's vertex set is the union of the
+      attachment sets on it.  An element of K_A fixes every attachment
+      set and preserves D, so it maps each cycle to a cycle with the same
+      vertex set.  Two distinct cycles share at most a < 2r vertices, so
+      the element fixes each cycle, and with it each cycle's tail set.
+      So the level after T and A is K_A.
+
+    In the degenerate case a = 2r there is one attachment set, so K_A is
+    the whole group.
     """
     tails = [set() for _ in s.cycles]
     for v, role in s.roles.items():
         tails[role[0]].add(v)
-    k_b = action_kernel(group, construction_b(s).blocks)
-    k_a = k_b if s.ell % 2 == 0 else action_kernel(
-        group, attachment_partition(s).blocks)
-    return {"K_alt": action_kernel(group, tails), "K_B": k_b, "K_A": k_a}
+    partitions = [tails, attachment_partition(s).blocks]
+    if s.ell % 2:
+        partitions.append(construction_b(s).blocks)
+    k_alt, k_a, *k_b = action_kernel(group, *partitions)
+    if s.attachment == 2 * s.radius:
+        k_a = group
+    return {"K_alt": k_alt, "K_B": k_b[0] if k_b else k_a, "K_A": k_a}
 
 
 @dataclass(frozen=True)
@@ -314,8 +336,10 @@ def thm_pipeline(rec: Analysis) -> dict:
 
 
 def _same_group(h: GroupByGenerators, k: GroupByGenerators) -> bool:
-    """Equal orders, and every generator of h lies in k."""
-    return h.order() == k.order() and all(p in k for p in h.generators)
+    """One object, or equal orders and every generator of h lies in k.
+    ``action_kernel`` makes equal kernels of one chain one object."""
+    return h is k or (h.order() == k.order()
+                      and all(p in k for p in h.generators))
 
 
 class Analysis:

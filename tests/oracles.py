@@ -9,7 +9,7 @@ from hatkit.errors import (
     NotEdgeTransitiveError,
     NotVertexTransitiveError,
 )
-from hatkit.graphcore import OrientedGraph, arc_act, edge_key
+from hatkit.graphcore import OrientedGraph, edge_key
 from hatkit.perm import Permutation
 
 
@@ -17,6 +17,11 @@ def is_automorphism(g, p) -> bool:
     """The definition: p has degree n and maps the edge set onto itself."""
     return p.degree == g.n and {
         edge_key(p(u), p(v)) for u, v in g.edges} == g.edge_set
+
+
+def arc_act(a: tuple, p) -> tuple:
+    """The image of the arc ``a`` under ``p``."""
+    return (p(a[0]), p(a[1]))
 
 
 def certified_heads(graph, group) -> dict:

@@ -107,7 +107,7 @@ class TestOrientedGraph:
 
     def test_head_tail(self):
         og = circulant_orientation(7)
-        assert og.head(0, 1) == 1 and og.tail(0, 1) == 0
+        assert og.head_of[(0, 1)] == 1 and (0, 1) in og.arc_set
 
     def test_unbalanced_orientation_rejected(self):
         g = build_circulant(7, {1, -1, 2, -2})

@@ -8,8 +8,11 @@ from sympy.combinatorics import Permutation as SymPerm, PermutationGroup
 from hatkit import cli, harness, quotients
 from hatkit.autsearch import automorphism_group
 from hatkit.constructions import (
+    XoParams,
     build_cubic_arc_graph,
     build_wreath,
+    build_xo,
+    special_circulant_k44,
     wreath_hat_group,
 )
 from hatkit.fileio import bundle_to_json, format_edgelist, graph6_encode
@@ -155,6 +158,12 @@ class TestPoolOracles:
             assert got == want, key
             assert rec.kernels_equal == (
                 want["K_alt"] == want["K_B"] == want["K_A"]), key
+
+    def test_reported_group_order_matches_sympy(self):
+        for key, rec in harness.instance_pool(SMALL):
+            oracle = sympy_group(p.images for p in rec.group.generators)
+            report = analyze_instance(rec.graph, rec.group)
+            assert report["group_order"] == oracle.order(), key
 
     def test_elements_match_closure(self):
         for key, rec in harness.instance_pool(SMALL):
@@ -305,6 +314,34 @@ class TestAnalyzeInstance:
         assert report["r"] == 2 and report["a"] == 2
         assert report["kernels_equal"]
         assert report["kernel_case"] == "ii"
+
+    @pytest.mark.parametrize("name, chains", [
+        # even ell: one chain on the tail partition, the attachment sets
+        # and the vertices answers |G| and all three kernels
+        ("xo:3,9,2", 1),
+        # odd ell: the half-step blocks join that chain; the induced group
+        # on the quotient gets its own, to check its order against it
+        ("k4arc", 2),
+        # a = 2r: K_A is the whole group, read from the same chain
+        ("Circ8(1,3)", 1),
+    ])
+    def test_one_chain_per_instance(self, name, chains, monkeypatch):
+        k4 = harness.small_cubic_graphs()["K4"]
+        g, grp = {
+            "xo:3,9,2": lambda: build_xo(XoParams(3, 9, 2)),
+            "k4arc": lambda: build_cubic_arc_graph(k4, automorphism_group(k4)),
+            "Circ8(1,3)": special_circulant_k44,
+        }[name]()
+        built = []
+        init = StabilizerChain.__init__
+
+        def counting(chain, *args, **kwargs):
+            built.append(chain)
+            init(chain, *args, **kwargs)
+        monkeypatch.setattr(StabilizerChain, "__init__", counting)
+        report = analyze_instance(g, grp)
+        assert len(built) == chains
+        assert report["group_order"] == built[0].order()
 
     def test_graph_only(self):
         report = analyze_instance(build_wreath(4), None, with_aut=True)

@@ -6,6 +6,7 @@ from hatkit.errors import BadPermutationError, BlocksNotInvariantError
 from hatkit.perm import (
     GroupByGenerators,
     Permutation,
+    _mul,
     action_kernel,
     block_images,
     group_structure,
@@ -121,14 +122,14 @@ class TestGroup:
 
     def test_transitivity(self):
         g = GroupByGenerators((cyclic_perm(5),))
-        assert g.is_transitive(range(5))
+        assert g.orbit(3) == frozenset(range(5))
         h = GroupByGenerators((Permutation((1, 0, 2)),))
-        assert not h.is_transitive(range(3))
+        assert h.orbit(0) == frozenset({0, 1}) and h.orbit(2) == {2}
 
     def test_action_kernel_on_sets(self):
         g = GroupByGenerators((cyclic_perm(4), reflection_perm(4)))
         blocks = [frozenset({0, 2}), frozenset({1, 3})]
-        k = action_kernel(g, blocks)
+        (k,) = action_kernel(g, blocks)
         assert k.order() == 4
         assert all(setwise_action(b, p) == b for b in blocks
                    for p in closure(k))
@@ -141,6 +142,31 @@ class TestGroup:
         with pytest.raises(BlocksNotInvariantError):
             action_kernel(GroupByGenerators((Permutation((1, 0, 2, 3)),)),
                           [frozenset({0}), frozenset({1, 2}), frozenset({3})])
+
+    def test_kernels_of_one_chain_match_filtered_elements(self):
+        g = GroupByGenerators((cyclic_perm(6), reflection_perm(6)))
+        parity = [frozenset({0, 2, 4}), frozenset({1, 3, 5})]
+        halves = [frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5})]
+        elems = closure(g)
+        kernels = action_kernel(g, parity, halves)
+        for k, fixed in zip(kernels, (parity, parity + halves)):
+            want = frozenset(p for p in elems
+                             if all(setwise_action(b, p) == b for b in fixed))
+            assert k.elements() == want and k.order() == len(want)
+            assert all((p in k) == (p in want) for p in elems)
+        assert [k.order() for k in kernels] == [6, 1]
+        # g reads its order and membership from the same chain
+        assert g._chain.chain is kernels[0]._chain.chain
+        assert g.order() == 12 and g.elements() == elems
+        swap = Permutation((1, 0, 2, 3, 4, 5))
+        assert swap not in g and swap not in kernels[0]
+
+    def test_equal_kernels_are_one_object(self):
+        g = GroupByGenerators((cyclic_perm(6), reflection_perm(6)))
+        parity = [frozenset({0, 2, 4}), frozenset({1, 3, 5})]
+        whole, k1, k2 = action_kernel(g, [frozenset(range(6))], parity,
+                                      parity)
+        assert whole is g and k2 is k1 and k1 is not g
 
     def test_block_images_match_setwise_action(self):
         g = GroupByGenerators((cyclic_perm(6), reflection_perm(6)))
@@ -158,6 +184,15 @@ class TestChain:
         assert g.order() == oracle.order()
         assert member in g
         assert (other in g) == oracle.contains(SymPerm(list(other.images)))
+
+    @given(groups_with_candidates())
+    def test_stored_inverses(self, case):
+        chain = case[0].chain
+        for trans, strong, inverses in zip(chain.transversal, chain.strong,
+                                           chain.inverses):
+            pairs = list(trans.values()) + list(zip(strong, inverses))
+            assert all(_mul(u, u_inv) == chain.identity
+                       for u, u_inv in pairs)
 
     def test_order_and_membership_past_element_cap(self):
         g = GroupByGenerators((Permutation((1, 0, 2, 3, 4, 5, 6, 7)),

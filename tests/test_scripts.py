@@ -45,3 +45,28 @@ def test_stage_times(monkeypatch, tmp_path):
     assert set(doc["stages_s"]) == {"construct", "certify", "analyze",
                                     "kernels"}
     assert all(t > 0 for t in doc["stages_s"].values())
+
+
+def test_bench_pairs_alternates_and_counts_wins(tmp_path):
+    bench = load("bench_pairs")
+    assert bench.parse_seeds("1,4-6") == [1, 4, 5, 6]
+    calls = []
+
+    def fake_run(root, _workload, seed, _seconds, _trace):
+        calls.append((root.name, seed))
+        wall = {"parent": 2.0, "change": 1.0}[root.name] + seed / 100
+        return {"failed": 0,
+                "metrics": {"wall_s": {"value": wall, "unit": "s"}}}
+
+    roots = {side: tmp_path / side for side in ("parent", "change")}
+    for root in roots.values():
+        root.mkdir()
+        (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+            {"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+    section = bench.compare(roots, "w", [1, 2, 3], 1.0, 0, run=fake_run)
+    assert calls == [("parent", 1), ("change", 1), ("change", 2),
+                     ("parent", 2), ("parent", 3), ("change", 3)]
+    row = section["summary"]["wall_s"]
+    assert row["parent"]["median"] == 2.02 and row["change"]["median"] == 1.02
+    assert row["change_won"] == 3 and row["gain"] and row["within_bound"]
+    assert section["failed"] == {"parent": 0, "change": 0}
