@@ -5,10 +5,37 @@ Refinement splits cells against a queue of splitter cells (Hopcroft 1971;
 McKay 1981).  Deterministic choices throughout: the target cell is the
 first smallest non-singleton cell, branching tries vertices in increasing
 order, and the canonical certificate is the lexicographically least
-relabeled edge tuple over all search leaves.  Each search node keeps, in
-one union-find, the orbits of the automorphisms found so far that fix its
-prefix, and skips a branch whose vertex lies in the orbit of an earlier
-branch.
+relabeled edge tuple over all search leaves.
+
+The search is depth-first on an explicit stack, one frame per node of the
+current path, so no depth reaches Python's recursion limit.  The first
+path always takes the least vertex of the target cell.  A leaf whose
+certificate equals the first leaf's gives an automorphism that fixes the
+common prefix of the two paths and maps the first path's subtree below it
+onto the leaf's; the search records it and jumps straight back to the
+deepest first-path node on the leaf's path, whose remaining subtree below
+the leaf's branch holds only images of leaves already seen (McKay 1981;
+McKay & Piperno, *J. Symbolic Comput.* 2014, section 4).  Each frame
+inherits its parent's list of the automorphisms that fix the parent's
+prefix, filtered to those that also fix its own vertex, and keeps, in one
+union-find, the orbits of that list on its target cell; it skips a branch
+whose vertex lies in the orbit of an earlier branch.  A node whose cells
+have at most two points has only equivalent leaves below it: the search
+walks in place to the first of them, and on the first path reads off the
+automorphism of each level below as a swap of cells (``_descend``).
+
+The automorphisms found are a strong generating set for the base formed
+by the first path.  The basic orbit of each first-path vertex, under the
+found automorphisms that fix the vertices before it, is its whole orbit
+under the stabilizer in Aut: every other point of that orbit lies in the
+target cell and was pruned into the orbit, searched until a leaf matched
+the first one, giving an automorphism that maps the vertex to it, or,
+below a node with two-point cells, is the vertex's swap partner.  So
+|Aut| is the product of the basic orbit lengths, with no Schreier-Sims
+run; ``automorphism_group`` still checks every generator.
+Canonical labellings are those of the full search: a skipped subtree is
+the image of one searched before it, and the best labelling is replaced
+only on a strictly smaller certificate.
 """
 
 from __future__ import annotations
@@ -31,6 +58,89 @@ class CanonicalForm:
     cert: tuple  # sorted relabeled edge tuple
 
 
+def _find(orbit: dict, x):
+    """The root of x in a union-find held as a dict of parent pointers,
+    with path halving; a point without an entry is a root."""
+    while x in orbit:
+        parent = orbit[x]
+        if parent in orbit:
+            orbit[x] = orbit[parent]
+        x = parent
+    return x
+
+
+class _Frame:
+    """A node on the current path: its refined partition, its target cell
+    in increasing order with the index of the next branch, the vertex of
+    the branch being searched, and the automorphisms found so far that fix
+    its prefix, each an (images, moved points) pair, with the union-find
+    of their orbits joined with the branches tried.
+
+    A frame's first branch needs no automorphism, and most frames off the
+    first path never get past it, so the list is filtered from the
+    parent's only when a later branch asks for it.  Until then ``auts`` is
+    None; the parent's list cannot grow meanwhile, since an automorphism
+    found below a frame off the first path jumps back above it.
+    """
+
+    __slots__ = ("lab", "length", "start_of", "cell", "next", "vertex",
+                 "parent", "auts", "added", "orbit")
+
+    def __init__(self, lab, length, start_of, target, parent, auts=None):
+        self.lab, self.length, self.start_of = lab, length, start_of
+        self.cell = sorted(lab[target:target + length[target]])
+        self.next = 0
+        self.vertex = None
+        self.parent = parent
+        self.auts = auts
+        self.added = 0
+        self.orbit = {}
+
+    def inherit(self):
+        """Fill ``auts`` here and in every ancestor that has none, from the
+        nearest ancestor that has one down, each list the parent's
+        automorphisms that fix the parent's branch vertex."""
+        pending = []
+        frame = self
+        while frame.auts is None:
+            pending.append(frame)
+            frame = frame.parent
+        for frame in reversed(pending):
+            v = frame.parent.vertex
+            frame.auts = [a for a in frame.parent.auts if a[0][v] == v]
+
+    def next_branch(self):
+        """The next vertex of the target cell that lies in no orbit of a
+        branch tried, or None.  The automorphisms fix the refined
+        partition, so they map the target cell onto itself, and joining
+        each cell point or each moved point, whichever are fewer, with its
+        image gives their orbits on it."""
+        cell, first = self.cell, self.cell[0]
+        if self.next == 0:
+            self.next = 1
+            self.vertex = first
+            return first
+        if self.auts is None:
+            self.inherit()
+        orbit = self.orbit
+        for images, moved in self.auts[self.added:]:
+            for x in moved if len(moved) < len(cell) else cell:
+                a, b = _find(orbit, x), _find(orbit, images[x])
+                if a != b:
+                    orbit[a] = b
+        self.added = len(self.auts)
+        while self.next < len(cell):
+            v = cell[self.next]
+            self.next += 1
+            a, b = _find(orbit, v), _find(orbit, first)
+            if a == b:
+                continue  # the image of a tried branch
+            orbit[a] = b
+            self.vertex = v
+            return v
+        return None
+
+
 class _Search:
     """One backtracking search over ordered partitions of range(n).
 
@@ -46,7 +156,9 @@ class _Search:
         self.adj = g.adjacency
         self.budget = budget
         self.nodes = 0
-        self.auts: list = []  # image tuples of discovered automorphisms
+        self.identity = tuple(range(self.n))
+        self.auts: list = []  # (images, moved points) of each automorphism
+        self.base: Optional[tuple] = None  # the first path
         self.first_cert: Optional[tuple] = None
         self.best_cert: Optional[tuple] = None
         self.best_labeling: Optional[tuple] = None
@@ -57,7 +169,7 @@ class _Search:
         """The partition with one cell, queued: its first split is by
         degree."""
         n = self.n
-        return list(range(n)), [n] * n, [0] * n, [0][:n]
+        return list(self.identity), [n] * n, [0] * n, [0][:n]
 
     @staticmethod
     def individualized(lab, length, start_of, v):
@@ -82,11 +194,13 @@ class _Search:
         cell that is still queued queues its new fragments; otherwise every
         fragment but the first largest is queued.  Every decision reads
         positions, sizes and counts, never vertex labels, so the ordered
-        partition commutes with relabelling.
+        partition commutes with relabelling.  Returns the starts of the
+        cells split.
         """
         adj = self.adj
         queue = deque(queue)
         queued = set(queue)
+        split = []
         while queue:
             s = queue.popleft()
             queued.discard(s)
@@ -109,6 +223,7 @@ class _Search:
                     groups[0] = [v for v in lab[c:c + size] if v not in count]
                 if len(groups) == 1:
                     continue
+                split.append(c)
                 pos = c
                 fragments = []
                 for k in sorted(groups):
@@ -125,57 +240,108 @@ class _Search:
                     fragments.remove(max(fragments, key=length.__getitem__))
                 queue.extend(fragments)
                 queued.update(fragments)
+        return split
 
     # -- search --------------------------------------------------------------
 
     def run(self):
-        self._node(*self.unit(), prefix=())
+        """Visit the root, then repeatedly the next branch of the deepest
+        frame that has one, dropping exhausted frames."""
+        stack = []
+        partition = self.unit()
+        while True:
+            self._node(stack, *partition)
+            v = None
+            while stack:
+                v = stack[-1].next_branch()
+                if v is not None:
+                    break
+                stack.pop()
+            if v is None:
+                return
+            top = stack[-1]
+            partition = self.individualized(top.lab, top.length,
+                                            top.start_of, v)
 
-    def _node(self, lab, length, start_of, queue, prefix):
+    def _count(self):
+        """Count one more node against the budget."""
         self.nodes += 1
         if self.nodes > self.budget:
             raise SearchBudgetExceededError(
                 f"search exceeded {self.budget} nodes")
+
+    def _node(self, stack, lab, length, start_of, queue):
+        """Visit the node reached by the branches of the frames on
+        ``stack``: refine its partition, then push its frame, or, when no
+        cell has more than two points, walk down to its first leaf."""
+        self._count()
         self.refine(lab, length, start_of, queue)
-        target, pos = None, 0
+        target, widest, pos = None, 1, 0
         while pos < self.n:
-            if length[pos] > 1 and (target is None
-                                    or length[pos] < length[target]):
-                target = pos
+            size = length[pos]
+            if size > 1:
+                if target is None or size < length[target]:
+                    target = pos
+                widest = max(widest, size)
+            pos += size
+        if widest <= 2:
+            path = self._descend(stack, lab, length, start_of)
+            self._leaf(lab, stack, path)
+        elif stack:
+            stack.append(_Frame(lab, length, start_of, target, stack[-1]))
+        else:
+            stack.append(_Frame(lab, length, start_of, target, None,
+                                list(self.auts)))
+
+    def _descend(self, stack, lab, length, start_of):
+        """From a node whose cells have at most two points, individualise
+        in place, as the first branches would, down to the first leaf
+        below it, and return the vertices individualised.
+
+        Every leaf below such a node is equivalent to that one, so no
+        other branch below it is searched.  The partition is equitable, so
+        between two 2-point cells there are no edges, a perfect matching
+        or all four, and a singleton is joined to both points of a cell or
+        to neither.  Swapping the two points of every cell in one
+        component of the matching graph on the cells is then an
+        automorphism that fixes every cell setwise: it maps each branch at
+        a cell to the other, and the children's partitions keep the form.
+        Individualising a point of a cell splits exactly its component, so
+        on the first path the swap of the cells that step splits is
+        recorded as the automorphism of that level.
+        """
+        path = []
+        pos = 0
+        while pos < self.n:
+            if length[pos] == 2:
+                self._count()
+                v, w = sorted(lab[pos:pos + 2])
+                lab[pos], lab[pos + 1] = v, w
+                length[pos] = length[pos + 1] = 1
+                start_of[w] = pos + 1
+                split = self.refine(lab, length, start_of, [pos])
+                if self.base is None:
+                    swap = list(self.identity)
+                    moved = []
+                    for c in [pos] + split:
+                        x, y = lab[c], lab[c + 1]
+                        swap[x], swap[y] = y, x
+                        moved += (x, y)
+                    self._record((tuple(swap), moved), stack)
+                path.append(v)
             pos += length[pos]
-        if target is None:
-            self._leaf(lab)
-            return
-        # union-find over the points: the orbits, under the automorphisms
-        # found so far that fix the prefix, joined with the branches tried.
-        # Such an automorphism fixes the refined partition, so it maps the
-        # target cell onto itself and the cell's points suffice.
-        orbit = list(range(self.n))
+        return path
 
-        def find(x):
-            while orbit[x] != x:
-                orbit[x] = orbit[orbit[x]]
-                x = orbit[x]
-            return x
+    def _record(self, found, stack):
+        """Keep an automorphism that fixes the prefix of every frame on
+        ``stack``; a frame without a list inherits it when it fills it."""
+        self.auts.append(found)
+        for frame in stack:
+            if frame.auts is None:
+                break
+            frame.auts.append(found)
 
-        cell = sorted(lab[target:target + length[target]])
-        added, first = 0, None
-        for v in cell:
-            for a in self.auts[added:]:
-                if all(a[x] == x for x in prefix):
-                    for x in cell:
-                        orbit[find(a[x])] = find(x)
-            added = len(self.auts)
-            if first is None:
-                first = v
-            elif find(v) == find(first):
-                continue  # the image of a tried branch
-            else:
-                orbit[find(v)] = find(first)
-            self._node(*self.individualized(lab, length, start_of, v),
-                       prefix=prefix + (v,))
-
-    def _leaf(self, lab):
+    def _leaf(self, lab, stack, path):
         labeling = [0] * self.n
         for pos, v in enumerate(lab):
             labeling[v] = pos
@@ -185,14 +351,22 @@ class _Search:
         if self.first_cert is None:
             self.first_cert = cert
             self.first_lab = lab
+            self.base = tuple(frame.vertex for frame in stack) + tuple(path)
         elif cert == self.first_cert:
             # two labelings with equal certs compose to an automorphism;
             # leaves differ in the vertex some node individualized, so each
-            # one found is new and not the identity
+            # one found is new and not the identity.  It maps the vertex
+            # individualized at each depth to the first path's, so it fixes
+            # the common prefix and maps the first path's subtree below the
+            # prefix onto this leaf's: the rest of that subtree is skipped.
             aut = [0] * self.n
             for x, y in zip(lab, self.first_lab):
                 aut[x] = y
-            self.auts.append(tuple(aut))
+            common = next(d for d, frame in enumerate(stack)
+                          if frame.vertex != self.base[d])
+            del stack[common + 1:]
+            self._record((tuple(aut), [x for x, y in enumerate(aut)
+                                       if x != y]), stack)
         if self.best_cert is None or cert < self.best_cert:
             self.best_cert = cert
             self.best_labeling = labeling
@@ -212,16 +386,18 @@ def canonical_form(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> CanonicalForm
 
 def automorphism_group(g: Graph,
                        budget: int = DEFAULT_NODE_BUDGET) -> GroupByGenerators:
-    """Full automorphism group; generators are verified automorphisms."""
+    """Full automorphism group: its generators are the verified
+    automorphisms the search found, a strong generating set for the first
+    path as base, so order and membership need no Schreier-Sims run."""
     s = _searched(g, budget)
     gens = []
-    for images in s.auts:
+    for images, _moved in s.auts:
         p = Permutation(images)
         if not is_automorphism(g, p):
             raise SearchBudgetExceededError(
                 "internal error: candidate generator is not an automorphism")
         gens.append(p)
-    return GroupByGenerators(tuple(gens), degree=g.n)
+    return GroupByGenerators(tuple(gens), degree=g.n, base=s.base)
 
 
 def are_isomorphic(g1: Graph, g2: Graph,
@@ -268,7 +444,8 @@ def has_orbit_swapper(og: OrientedGraph) -> bool:
     reverse, and each such map of D arises this way.  Keeping or swapping
     is a homomorphism onto a group of order at most 2, so some
     automorphism swaps exactly when some generator does, that is, maps
-    out-copy 0 to an in-copy.
+    out-copy 0 to an in-copy.  Only the generators are read, so no chain
+    is built.
     """
     n = og.graph.n
     doubled = build_graph(3 * n, [(t, n + h) for t, h in og.arc_set] + [

@@ -101,17 +101,27 @@ def _inverse(p: tuple) -> tuple:
 
 
 class StabilizerChain:
-    """A base and strong generating set, built by the deterministic
-    Schreier-Sims algorithm (Sims 1970; Seress, *Permutation Group
-    Algorithms*, 2003, section 4.2) on image tuples.
+    """A base and strong generating set on image tuples.
 
-    ``base`` starts with the given prefix; further points are appended as
+    ``base`` starts with the given points; further points are appended as
     needed, each the least point moved by the generator that needs it.
-    ``strong[i]`` holds the strong generators fixing ``base[:i]``; they
-    generate the pointwise stabilizer G_i of ``base[:i]``, and
-    ``inverses[i]`` holds their inverses.  ``transversal[i]`` maps each
-    point of the G_i-orbit of ``base[i]`` to a pair (u, u^-1) with u
-    carrying ``base[i]`` to that point.
+    ``strong[i]`` holds the strong generators fixing ``base[:i]``.
+    ``tree[i]`` is a Schreier tree of the orbit of ``base[i]`` under
+    ``strong[i]``: it maps ``base[i]`` to None and each other orbit point
+    to (b, k), the point whose image it is under ``strong[i][k]``.
+    ``transversal(i, c)`` reads off the tree a pair (u, u^-1) with u
+    carrying ``base[i]`` to c, and keeps every pair it builds, so order
+    and the orbits cost no product and a sift builds only the pairs on
+    its way.
+
+    The constructor adds each generator to the levels up to the first
+    base point it moves, closing their orbits.  When the generators are
+    already a strong generating set for the base, as the automorphisms an
+    automorphism search finds are for its first path, that is the chain.
+    Otherwise ``complete`` runs the deterministic
+    Schreier-Sims algorithm (Sims 1970; Seress, *Permutation Group
+    Algorithms*, 2003, section 4.2) until ``strong[i]`` generates the
+    pointwise stabilizer G_i of ``base[:i]``.
     """
 
     def __init__(self, generators: Iterable[tuple], degree: int,
@@ -119,8 +129,11 @@ class StabilizerChain:
         self.identity = tuple(range(degree))
         self.base = []
         self.strong = []
-        self.inverses = []
-        self.transversal = []
+        self.tree = []
+        self._pairs = []  # per level: the (u, u^-1) built so far
+        self._inverses = {}  # id of a strong generator -> its inverse
+        # per level: how many strong generators the orbit is closed under
+        self._closed = []
         # per level: (point, strong index) pairs whose Schreier generator
         # sifts to the identity
         self._checked = []
@@ -129,13 +142,13 @@ class StabilizerChain:
         for g in dict.fromkeys(generators):
             if g != self.identity:
                 self._add_strong(g, 0)
-        self._complete()
 
     def _add_level(self, b: int) -> None:
         self.base.append(b)
         self.strong.append([])
-        self.inverses.append([])
-        self.transversal.append({b: (self.identity, self.identity)})
+        self.tree.append({b: None})
+        self._pairs.append({b: (self.identity, self.identity)})
+        self._closed.append(0)
         self._checked.append(set())
 
     def _add_strong(self, h: tuple, first: int) -> int:
@@ -147,31 +160,59 @@ class StabilizerChain:
         if last is None:
             last = len(self.base)
             self._add_level(next(x for x, y in enumerate(h) if x != y))
-        h_inv = _inverse(h)
         for level in range(first, last + 1):
             self.strong[level].append(h)
-            self.inverses[level].append(h_inv)
             self._extend(level)
         return last
 
     def _extend(self, i: int) -> None:
-        """Close the orbit of ``base[i]`` under ``strong[i]``.  A new entry
-        u*g has inverse g^-1 * u^-1.  Existing transversal entries never
-        change, so a sift that once reached the identity always does.  The
-        Schreier generator of a pair (b, k) that defines a new entry is the
+        """Close the orbit of ``base[i]`` under ``strong[i]``: the points
+        already in it under the generators added since it was last closed,
+        the new points under all.  Existing tree entries never change, so
+        a sift that once reached the identity always does.  The Schreier
+        generator of a pair (b, k) that defines a new entry is the
         identity, so the pair is marked checked."""
-        trans = self.transversal[i]
+        tree = self.tree[i]
         checked = self._checked[i]
-        gens = list(enumerate(zip(self.strong[i], self.inverses[i])))
-        queue = list(trans)
-        for b in queue:
-            u, u_inv = trans[b]
-            for k, (g, g_inv) in gens:
-                c = g[b]
-                if c not in trans:
-                    trans[c] = (_mul(u, g), _mul(g_inv, u_inv))
+        strong = self.strong[i]
+        queue = list(tree)
+        old, start = len(queue), self._closed[i]
+        self._closed[i] = len(strong)
+        for j, b in enumerate(queue):
+            for k in range(start if j < old else 0, len(strong)):
+                c = strong[k][b]
+                if c not in tree:
+                    tree[c] = (b, k)
                     checked.add((b, k))
                     queue.append(c)
+
+    def inverse(self, h: tuple) -> tuple:
+        """The inverse of the strong generator h, computed once."""
+        inv = self._inverses.get(id(h))
+        if inv is None:
+            inv = self._inverses[id(h)] = _inverse(h)
+        return inv
+
+    def transversal(self, i: int, c: int) -> Optional[tuple]:
+        """The pair (u, u^-1) of level i for the orbit point c, or None if
+        c is not in the orbit.  Along the tree path from the nearest point
+        with a pair, each step by g gives u*g and g^-1 * u^-1."""
+        pairs = self._pairs[i]
+        if c in pairs:
+            return pairs[c]
+        tree = self.tree[i]
+        if c not in tree:
+            return None
+        path = []
+        while c not in pairs:
+            path.append(c)
+            c = tree[c][0]
+        u, u_inv = pairs[c]
+        for c in reversed(path):
+            g = self.strong[i][tree[c][1]]
+            u, u_inv = _mul(u, g), _mul(self.inverse(g), u_inv)
+            pairs[c] = (u, u_inv)
+        return u, u_inv
 
     def sift(self, g: tuple, start: int = 0) -> tuple:
         """Strip g through the levels from ``start`` on.  Once the chain is
@@ -181,7 +222,7 @@ class StabilizerChain:
             b = self.base[i]
             c = g[b]
             if c != b:
-                t = self.transversal[i].get(c)
+                t = self.transversal(i, c)
                 if t is None:
                     return g
                 g = _mul(g, t[1])
@@ -192,22 +233,25 @@ class StabilizerChain:
         not sift to the identity through the levels below, or None.  A level
         whose orbit is one point has only its strong generators as Schreier
         generators, and they are checked at level i + 1."""
-        trans = self.transversal[i]
-        if len(trans) == 1:
+        tree = self.tree[i]
+        if len(tree) == 1:
             return None
         checked = self._checked[i]
-        for b in trans:
-            u = trans[b][0]
+        for b in tree:
+            u = self.transversal(i, b)[0]
             for k, s in enumerate(self.strong[i]):
                 if (b, k) in checked:
                     continue
-                h = self.sift(_mul(_mul(u, s), trans[s[b]][1]), i + 1)
+                h = self.sift(_mul(_mul(u, s), self.transversal(i, s[b])[1]),
+                              i + 1)
                 if h != self.identity:
                     return h
                 checked.add((b, k))
         return None
 
-    def _complete(self) -> None:
+    def complete(self) -> "StabilizerChain":
+        """Add the residue of every Schreier generator that does not sift
+        to the identity as a strong generator, until none is left."""
         i = len(self.base) - 1
         while i >= 0:
             found = self._schreier_residue(i)
@@ -215,10 +259,11 @@ class StabilizerChain:
                 i -= 1
             else:
                 i = self._add_strong(found, i + 1)
+        return self
 
     def order(self, start: int = 0) -> int:
-        """The order of G_start."""
-        return prod(len(trans) for trans in self.transversal[start:])
+        """The order of G_start: the product of the orbit lengths."""
+        return prod(len(tree) for tree in self.tree[start:])
 
     def __contains__(self, g: tuple) -> bool:
         return self.sift(g) == self.identity
@@ -228,8 +273,9 @@ class StabilizerChain:
         of G_i+1 followed by one transversal entry of level i.  Only
         ``GroupByGenerators.elements`` calls this."""
         out = [self.identity]
-        for trans in reversed(self.transversal[start:]):
-            out = [_mul(h, u) for h in out for u, _inv in trans.values()]
+        for i in reversed(range(start, len(self.base))):
+            us = [self.transversal(i, c)[0] for c in self.tree[i]]
+            out = [_mul(h, u) for h in out for u in us]
         return out
 
 
@@ -261,10 +307,14 @@ class BlockChainLevel:
 class GroupByGenerators:
     """A permutation group given by generators.  Order, membership and, on
     request, the element set come from a stabilizer chain: one built on
-    first use, or a level of the chain ``action_kernel`` builds."""
+    first use, or a level of the chain ``action_kernel`` builds.
+
+    ``base``, when given, is a base for which the generators are a strong
+    generating set, so the chain built on it needs no Schreier-Sims run."""
 
     generators: tuple
     degree: int = field(default=None)
+    base: Optional[tuple] = field(default=None, repr=False, compare=False)
     _elements: Optional[frozenset] = field(default=None, repr=False, compare=False)
     _chain: Optional[StabilizerChain | BlockChainLevel] = field(
         default=None, repr=False, compare=False)
@@ -298,8 +348,9 @@ class GroupByGenerators:
     @property
     def chain(self) -> StabilizerChain | BlockChainLevel:
         if self._chain is None:
-            self._chain = StabilizerChain(
-                (p.images for p in self.generators), self.degree)
+            chain = StabilizerChain((p.images for p in self.generators),
+                                    self.degree, self.base or ())
+            self._chain = chain if self.base is not None else chain.complete()
         return self._chain
 
     def order(self) -> int:
@@ -308,26 +359,25 @@ class GroupByGenerators:
     def __contains__(self, p: Permutation) -> bool:
         return p.degree == self.degree and p.images in self.chain
 
-    def orbit(self, point, act: Callable = None) -> frozenset:
-        act = act or (lambda x, g: g(x))
+    def orbit(self, point: int) -> frozenset:
         seen = {point}
         frontier = [point]
         while frontier:
             x = frontier.pop()
             for g in self.generators:
-                y = act(x, g)
+                y = g.images[x]
                 if y not in seen:
                     seen.add(y)
                     frontier.append(y)
         return frozenset(seen)
 
-    def orbits(self, points: Iterable, act: Callable = None) -> list:
+    def orbits(self, points: Iterable) -> list:
         """Partition of ``points`` into orbits, ordered by least representative."""
         remaining = set(points)
         out = []
         while remaining:
             x = min(remaining)
-            orb = self.orbit(x, act)
+            orb = self.orbit(x)
             out.append(orb)
             remaining -= orb
         return out
@@ -407,14 +457,14 @@ def action_kernel(g: GroupByGenerators, *partitions: Sequence) -> list:
             raise BlocksNotInvariantError(
                 f"generator {i} does not permute the blocks")
         gens.append(images)
-    chain = StabilizerChain(gens, k + n, base=range(k))
+    chain = StabilizerChain(gens, k + n, base=range(k)).complete()
     if g._chain is None:
         g._chain = BlockChainLevel(chain, 0, k, lift)
     out = []
     level, group = 0, g
     for blocks in partitions:
         cut = level + len(blocks)
-        if any(len(t) > 1 for t in chain.transversal[level:cut]):
+        if any(len(t) > 1 for t in chain.tree[level:cut]):
             strong = chain.strong[cut] if cut < len(chain.base) else ()
             group = GroupByGenerators(
                 tuple(Permutation(tuple(y - k for y in s[k:]))

@@ -283,8 +283,9 @@ def thm_pipeline(rec: Analysis) -> dict:
 
     For even radius with a = 2, the group is first extended by the
     antipodal automorphism when that exists outside the group.  The
-    record's orientation, structure and block kernel are reused; only the
-    extended group and the quotient are certified and analysed afresh.
+    extended group gets a fresh ``Analysis`` of the same graph, which
+    certifies it and derives its orientation, structure and kernels anew;
+    the rest of the reduction reads that record.
     """
     s = rec.structure
     if s.attachment == 2 * s.radius:

@@ -26,15 +26,24 @@ def arc_act(a: tuple, p) -> tuple:
 
 def certified_heads(graph, group) -> dict:
     """The head_of of the orientation that certifies a HAT action: the
-    orbit of the least arc under ``group.orbit``, one head per edge.
-    Raises what ``certify_hat`` raises, checked in the same order."""
+    orbit of the least arc, closed under the generators arc by arc, one
+    head per edge.  Raises what ``certify_hat`` raises, checked in the same
+    order."""
     if not graph.is_regular(4):
         raise ValueError("not tetravalent")
     graph.require_connected()
     for i, gen in enumerate(group.generators):
         if not is_automorphism(graph, gen):
             raise NotAutomorphismError(i)
-    orbit = group.orbit(min(graph.arcs), arc_act)
+    orbit = {min(graph.arcs)}
+    frontier = list(orbit)
+    while frontier:
+        arc = frontier.pop()
+        for gen in group.generators:
+            image = arc_act(arc, gen)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
     if len({t for t, _h in orbit}) != graph.n:
         raise NotVertexTransitiveError("not vertex-transitive")
     head_of = {edge_key(t, h): h for t, h in orbit}

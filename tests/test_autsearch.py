@@ -1,3 +1,4 @@
+import math
 import random
 
 import networkx as nx
@@ -29,8 +30,9 @@ from hatkit.graphcore import (
     is_automorphism,
 )
 from hatkit.harness import instance_pool
-from hatkit.perm import Permutation
+from hatkit.perm import Permutation, StabilizerChain
 from oracles import closure, orbit_swapper, refine, reverse_orientation
+from oracles import is_automorphism as automorphism_by_definition
 from test_harness import SMALL
 
 
@@ -243,18 +245,121 @@ class TestOrbitSwapper:
 
 class TestOrbitPruning:
     def test_automorphism_moving_the_prefix_does_not_prune(self):
-        """At the node that individualised 0 in the 6-cycle, the target
-        cell is {2, 4}.  The rotation x -> x + 2 maps 2 to 4 but moves 0,
-        so it must not prune the branch on 4 there."""
-        s = _Search(cycle_graph(6), DEFAULT_NODE_BUDGET)
-        s.auts.append(tuple((x + 2) % 6 for x in range(6)))
+        """Two disjoint 6-cycles, 0..5 and 6..11.  At the node that
+        individualised 0, the target cell is {2, 4}; the cell of the other
+        cycle keeps six points, so the node is searched branch by branch.
+        The rotation x -> x + 2 of the first cycle maps 2 to 4 but moves
+        0, so it must not prune the branch on 4 there."""
+        s = _Search(build_graph(12, [(c + i, c + (i + 1) % 6)
+                                     for c in (0, 6) for i in range(6)]),
+                    DEFAULT_NODE_BUDGET)
+        rotation = tuple((x + 2) % 6 if x < 6 else x for x in range(12))
+        s.auts.append((rotation, list(range(6))))
         visited = []
         node = s._node
 
-        def recording(*partition, prefix):
-            visited.append(prefix)
-            node(*partition, prefix=prefix)
+        def recording(stack, *partition):
+            visited.append(tuple(frame.vertex for frame in stack))
+            node(stack, *partition)
 
         s._node = recording
         s.run()
         assert (0, 2) in visited and (0, 4) in visited
+
+
+@st.composite
+def small_graphs(draw):
+    """G(n, p) graphs, random 3- and 4-regular graphs, and disjoint unions
+    of two cycles, with networkx's copy of each."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    kind = draw(st.sampled_from(("gnp", "regular", "cycles")))
+    if kind == "gnp":
+        nxg = nx.gnp_random_graph(draw(st.integers(1, 7)),
+                                  draw(st.floats(0.1, 0.9)), seed=seed)
+    elif kind == "regular":
+        d, n = draw(st.sampled_from((3, 4))), draw(st.integers(6, 12))
+        nxg = nx.random_regular_graph(d, n + d * n % 2, seed=seed)
+    else:
+        nxg = nx.disjoint_union(nx.cycle_graph(draw(st.integers(3, 6))),
+                                nx.cycle_graph(draw(st.integers(3, 6))))
+    n = nxg.number_of_nodes()
+    return build_graph(n, [edge_key(u, v) for u, v in nxg.edges()]), nxg
+
+
+def check_search_chain(g, rng):
+    """The chain read off the search against a Schreier-Sims run on the
+    same generators, and its membership against the definition."""
+    aut = automorphism_group(g)
+    images = [p.images for p in aut.generators]
+    fresh = StabilizerChain(images, g.n).complete()
+    assert aut.chain.base == list(aut.base)
+    assert aut.order() == fresh.order()
+    for _ in range(10):
+        p = list(range(g.n))
+        for _ in range(rng.randint(0, 4) if images else 0):
+            gen = rng.choice(images)
+            p = [gen[x] for x in p]
+        assert Permutation(tuple(p)) in aut
+        q = list(range(g.n))
+        rng.shuffle(q)
+        q = Permutation(tuple(q))
+        assert (q in aut) == automorphism_by_definition(g, q)
+    return aut
+
+
+class TestSearchChain:
+    """|Aut| read off the search: the order of the chain on the first path
+    with the found automorphisms as strong generators."""
+
+    @given(small_graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_against_schreier_sims_and_networkx(self, case, rng):
+        g, nxg = case
+        aut = check_search_chain(g, rng)
+        isos = sum(1 for _ in GraphMatcher(nxg, nxg).isomorphisms_iter())
+        assert aut.order() == isos
+
+    def test_small_pool(self):
+        rng = random.Random(0)
+        for key, rec in instance_pool(SMALL):
+            aut = check_search_chain(rec.graph, rng)
+            assert aut.order() % rec.group.order() == 0, key
+
+    def test_orbit_swapper_builds_no_chain(self, monkeypatch):
+        def no_chain(*_args, **_kwargs):
+            raise AssertionError("a chain was built")
+        monkeypatch.setattr(StabilizerChain, "__init__", no_chain)
+        g, grp = build_xo(XoParams(3, 9, 2))
+        assert not has_orbit_swapper(certify_hat(g, grp))
+
+
+class TestJumpBack:
+    """The search returns to the first path after each automorphism and
+    holds its path on a stack."""
+
+    @pytest.mark.parametrize("build, nodes", [
+        (lambda: build_circulant(200, {1, -1, 3, -3}), 5),
+        (lambda: build_xo(XoParams(4, 101, 10))[0], 12),
+    ], ids=["Circ(200;1,3)", "Xo(4,101;10)"])
+    def test_node_count_and_relabelling(self, build, nodes):
+        g = build()
+        s = _Search(g, DEFAULT_NODE_BUDGET)
+        s.run()
+        assert s.nodes == nodes
+        images = list(range(g.n))
+        random.Random(g.n).shuffle(images)
+        h = relabel(g, Permutation(tuple(images)))
+        assert canonical_form(h).cert == s.best_cert
+        ok, w = are_isomorphic(g, h)
+        assert ok and all(h.has_edge(w(u), w(v)) for u, v in g.edges)
+
+    def test_deep_first_path_exhausts_the_budget(self):
+        """On 1,200 disjoint edges the first path individualises a vertex
+        per edge: far past Python's recursion limit."""
+        g = build_graph(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
+        with pytest.raises(SearchBudgetExceededError):
+            automorphism_group(g, budget=1500)
+
+    def test_disjoint_edges(self):
+        g = build_graph(100, [(2 * i, 2 * i + 1) for i in range(50)])
+        assert automorphism_group(g).order() == 2 ** 50 * math.factorial(50)

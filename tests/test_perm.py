@@ -188,11 +188,17 @@ class TestChain:
     @given(groups_with_candidates())
     def test_stored_inverses(self, case):
         chain = case[0].chain
-        for trans, strong, inverses in zip(chain.transversal, chain.strong,
-                                           chain.inverses):
-            pairs = list(trans.values()) + list(zip(strong, inverses))
-            assert all(_mul(u, u_inv) == chain.identity
-                       for u, u_inv in pairs)
+        for i, (tree, strong) in enumerate(zip(chain.tree, chain.strong)):
+            for c in tree:
+                u, u_inv = chain.transversal(i, c)
+                assert u[chain.base[i]] == c
+                assert _mul(u, u_inv) == chain.identity
+            assert all(_mul(s, chain.inverse(s)) == chain.identity
+                       for s in strong)
+            outside = next((x for x in range(len(chain.identity))
+                            if x not in tree), None)
+            if outside is not None:
+                assert chain.transversal(i, outside) is None
 
     def test_order_and_membership_past_element_cap(self):
         g = GroupByGenerators((Permutation((1, 0, 2, 3, 4, 5, 6, 7)),

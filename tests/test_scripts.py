@@ -70,3 +70,14 @@ def test_bench_pairs_alternates_and_counts_wins(tmp_path):
     assert row["parent"]["median"] == 2.02 and row["change"]["median"] == 1.02
     assert row["change_won"] == 3 and row["gain"] and row["within_bound"]
     assert section["failed"] == {"parent": 0, "change": 0}
+
+
+def test_scale_ladder_tiny_rung(tmp_path):
+    ladder = load("scale_ladder")
+    out = tmp_path / "ladder.json"
+    ladder.main(["--specs", "xo:3,9,2", "--timeout", "60", "-o", str(out)])
+    runs = json.loads(out.read_text())["scale ladder"]["runs"]
+    assert [run["argv"] for run in runs] == [["aut", "xo:3,9,2"],
+                                             ["analyze", "--aut", "xo:3,9,2"]]
+    assert all(run["exit"] == 0 and run["seconds"] > 0
+               and run["peak_rss_mb"] > 0 for run in runs)
