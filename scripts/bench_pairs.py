@@ -13,7 +13,11 @@ each side's median and quartiles over the pairs, the number of pairs the
 change won (ties count for neither side), whether the change's median is
 within the metric's bound in ``BENCHMARK.json``, and whether it is a gain:
 won in at least nine tenths of the pairs, by a median gap larger than the
-distance between the parent's quartiles.  Every run's metrics are kept.
+distance between the parent's quartiles.  A bounded metric is unresolved
+when that distance exceeds the bound times the parent's median, so the
+runs spread too widely to tell a change within the bound from one beyond
+it, unless every change run beats every parent run.  Every run's metrics
+are kept.
 
 The result is one section of the JSON file, keyed by workload and trace
 mode, so that several invocations fill one file; without ``-o`` it goes to
@@ -69,8 +73,9 @@ def quartiles(xs: list) -> dict:
 
 def summarize(pairs: list, metrics: dict) -> dict:
     """Per metric: each side's median and quartiles, the pairs the change
-    won, and the gain and bound verdicts.  ``metrics`` maps a name to its
-    ``better`` direction and its bound (None when it has none)."""
+    won, and the gain, bound and unresolved verdicts.  ``metrics`` maps a
+    name to its ``better`` direction and its bound (None when it has
+    none)."""
     out = {}
     for name, (better, bound) in metrics.items():
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs
@@ -90,6 +95,10 @@ def summarize(pairs: list, metrics: dict) -> dict:
         if bound is not None:
             row["bound"] = bound
             row["within_bound"] = -gap <= bound * stats["parent"]["median"]
+            row["unresolved"] = (
+                spread > bound * stats["parent"]["median"]
+                and not all(sign * (a - b) > 0 for a in values["parent"]
+                            for b in values["change"]))
         out[name] = row
     return out
 

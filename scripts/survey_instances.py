@@ -20,7 +20,7 @@ def main():
         s = rec.structure
         print(f"{key:22} {rec.graph.n:>4} {s.radius:>3} {s.attachment:>3} "
               f"{str(sorted(s.Q)):>8} {s.attachment_kind:>10} "
-              f"{rec.kernel_case.case:>4} {str(rec.tags['K_alt']):>14}")
+              f"{rec.kernel_case:>4} {str(rec.tags['K_alt']):>14}")
 
 
 if __name__ == "__main__":

@@ -7,9 +7,9 @@ Instance specifiers accepted wherever a graph is expected:
   circ:N:D1,D2,...  circulant (no group)
   path/to/file      edge-list (.txt), graph6 (.g6), bundle JSON (.json)
 
-Exit codes: 0 ok, 2 parse/input error, 3 invalid parameters, 4 the pair is
-not half-arc-transitive, 5 internal consistency violation, 6 search budget
-exceeded, 1 anything else.
+Exit codes: 0 ok, 2 parse/input error or unwritable output, 3 invalid
+parameters, 4 the pair is not half-arc-transitive, 5 internal consistency
+violation, 6 search budget exceeded, 1 anything else.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .graphcore import arc_transitive
 
 _EXIT_CODES = (
     ((ParseError, ValueError, LoopEdgeError, DuplicateEdgeError,
-      BadPermutationError), 2),
+      BadPermutationError, OSError), 2),
     ((InvalidParamsError, ContainsZeroError, NotInverseClosedError), 3),
     ((NotAutomorphismError, NotVertexTransitiveError,
       NotEdgeTransitiveError, ArcTransitiveError), 4),
@@ -145,7 +145,7 @@ def cmd_kernels(args):
         "orders": {k: v.order() for k, v in rec.kernels.items()},
         "structures": {k: str(tag) for k, tag in rec.tags.items()},
         "equal": rec.kernels_equal,
-        "case": rec.kernel_case.case,
+        "case": rec.kernel_case,
     }, args)
 
 
@@ -252,7 +252,7 @@ def main(argv=None) -> int:
         args.fn(args)
     except SystemExit:
         raise
-    except (HatkitError, ValueError) as exc:
+    except (HatkitError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         for classes, code in _EXIT_CODES:
             if isinstance(exc, classes):

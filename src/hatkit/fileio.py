@@ -2,7 +2,6 @@
 DOT export.
 
 Edge-list format: first line ``n m``, then m lines ``u v``.
-Generator files: one JSON image list per line.
 Bundle JSON: {"n": ..., "edges": [[u, v], ...], "generators": [[...], ...],
 "params": {...}} with generators/params optional.
 """
@@ -157,24 +156,6 @@ def _is_int(x) -> bool:
 
 def _is_int_list(x) -> bool:
     return isinstance(x, list) and all(map(_is_int, x))
-
-
-def parse_generator_lines(text: str, degree: Optional[int] = None) -> GroupByGenerators:
-    gens = []
-    for k, ln in enumerate(text.splitlines(), start=1):
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        try:
-            images = json.loads(ln)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad image list: {exc}", line=k)
-        if not _is_int_list(images):
-            raise BadPermutationError(f"line {k}: expected a list of integers")
-        gens.append(Permutation(tuple(images)))
-    if not gens and degree is None:
-        raise ParseError("no generators and no degree given")
-    return GroupByGenerators(tuple(gens), degree=degree or gens[0].degree)
 
 
 def bundle_to_json(g: Graph, group: Optional[GroupByGenerators] = None,

@@ -382,8 +382,11 @@ class GroupByGenerators:
             remaining -= orb
         return out
 
-    def with_extra_generator(self, p: Permutation) -> "GroupByGenerators":
-        return GroupByGenerators(self.generators + (p,), degree=self.degree)
+
+def block_index(blocks: Sequence, first: int = 0) -> dict:
+    """Point -> the number of its block, the disjoint ``blocks`` numbered
+    in order from ``first``."""
+    return {v: first + j for j, blk in enumerate(blocks) for v in blk}
 
 
 def _block_image(images: tuple, blocks: Sequence, block_of: dict,
@@ -402,7 +405,7 @@ def block_images(g: GroupByGenerators, blocks: Sequence) -> list:
     """Each generator's permutation of the disjoint ``blocks``, as the
     image tuple of block indices.  Raises BlocksNotInvariantError if a
     generator does not permute them."""
-    block_of = {v: k for k, blk in enumerate(blocks) for v in blk}
+    block_of = block_index(blocks)
     indices = set(range(len(blocks)))
     out = []
     for i, p in enumerate(g.generators):
@@ -436,8 +439,7 @@ def action_kernel(g: GroupByGenerators, *partitions: Sequence) -> list:
     tables = []
     k = 0
     for blocks in partitions:
-        tables.append((blocks, {v: k + j for j, blk in enumerate(blocks)
-                                for v in blk},
+        tables.append((blocks, block_index(blocks, k),
                        set(range(k, k + len(blocks)))))
         k += len(blocks)
 

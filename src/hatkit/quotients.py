@@ -1,15 +1,19 @@
-"""Block systems over the attachment structure, quotient graphs, the
-alternating-cycle graph, the three setwise-fixing kernels and their
-structural classification, induced quotient actions, the cycle-level
-isomorphism between the alternating-cycle graphs of a graph and of its
-quotient, and the per-instance analysis record that chains them.
+"""Quotients over the attachment structure, the alternating-cycle graph,
+the three setwise-fixing kernels and their row of the five-case table,
+induced quotient actions, the cycle-level isomorphism between the
+alternating-cycle graphs of a graph and of its quotient, and the
+per-instance analysis record that chains them.
+
+A vertex partition is a tuple of frozensets ordered by least element, the
+form of ``AltStructure.attachment_sets``; ``perm.block_index`` numbers its
+blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional
+from typing import Dict
 
 from .alternating import AltStructure, analyze, antipodal_tau
 from .errors import (
@@ -24,52 +28,26 @@ from .perm import (
     StructureTag,
     action_kernel,
     block_images,
+    block_index,
     group_structure,
 )
-
-
-@dataclass(frozen=True)
-class BlockSystem:
-    """A partition of the vertex set into equal-size blocks: the attachment
-    sets (block size a), or the half-step blocks of ``construction_b``."""
-
-    blocks: tuple  # tuple of frozensets, ordered by least element
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def block_size(self) -> int:
-        return len(self.blocks[0])
-
-    def block_of(self) -> dict:
-        out = {}
-        for k, b in enumerate(self.blocks):
-            for v in b:
-                out[v] = k
-        return out
 
 
 def _sorted_blocks(blocks) -> tuple:
     return tuple(sorted((frozenset(b) for b in blocks), key=min))
 
 
-def attachment_partition(s: AltStructure) -> BlockSystem:
-    return BlockSystem(s.attachment_sets)
+def construction_b(s: AltStructure) -> tuple:
+    """The half-step blocks.
 
-
-def construction_b(s: AltStructure) -> BlockSystem:
-    """The half-step block system.
-
-    For even ell this is exactly the attachment partition.  For odd ell the
+    For even ell these are exactly the attachment sets.  For odd ell the
     double-step orbit through a vertex picks out every other attachment
     position, i.e. the vertices sharing that vertex's orientation role
     (double tail vs double head) on the cycle, so each attachment set splits
     into its two role-halves of size a/2.
     """
     if s.ell % 2 == 0:
-        return attachment_partition(s)
+        return s.attachment_sets
     blocks = []
     for aset in s.attachment_sets:
         tail = s.roles[min(aset)][0]
@@ -79,7 +57,7 @@ def construction_b(s: AltStructure) -> BlockSystem:
                 {"attachment_set": sorted(aset),
                  "reason": "role halves of unequal size"})
         blocks.extend([half, aset - half])
-    return BlockSystem(_sorted_blocks(blocks))
+    return _sorted_blocks(blocks)
 
 
 @dataclass(frozen=True)
@@ -93,8 +71,8 @@ class QuotientGraph:
     degenerate: bool
 
 
-def quotient_graph(g: Graph, b: BlockSystem) -> QuotientGraph:
-    block_of = b.block_of()
+def quotient_graph(g: Graph, blocks: tuple) -> QuotientGraph:
+    block_of = block_index(blocks)
     if len(block_of) != g.n:
         raise ValueError("block system does not partition the vertex set")
     counts: Dict[tuple, int] = {}
@@ -103,7 +81,7 @@ def quotient_graph(g: Graph, b: BlockSystem) -> QuotientGraph:
         if bu == bv:
             continue
         counts[edge_key(bu, bv)] = counts.get(edge_key(bu, bv), 0) + 1
-    q = build_graph(len(b.blocks), sorted(counts))
+    q = build_graph(len(blocks), sorted(counts))
     mult = max(counts.values()) if counts else 0
     degenerate = (mult >= 2 and q.n >= 3 and q.is_connected
                   and q.is_regular(2))
@@ -156,23 +134,13 @@ def kernels(group: GroupByGenerators, s: AltStructure) -> dict:
     tails = [set() for _ in s.cycles]
     for v, role in s.roles.items():
         tails[role[0]].add(v)
-    partitions = [tails, attachment_partition(s).blocks]
+    partitions = [tails, s.attachment_sets]
     if s.ell % 2:
-        partitions.append(construction_b(s).blocks)
+        partitions.append(construction_b(s))
     k_alt, k_a, *k_b = action_kernel(group, *partitions)
     if s.attachment == 2 * s.radius:
         k_a = group
     return {"K_alt": k_alt, "K_B": k_b[0] if k_b else k_a, "K_A": k_a}
-
-
-@dataclass(frozen=True)
-class KernelCase:
-    """Classification of the cycle-fixing kernel by (r, a)."""
-
-    case: str  # "i" | "ii" | "iii" | "iv" | "v"
-    expected: str
-    observed: StructureTag
-    consistent: bool
 
 
 def _is_cyclic_of(tag: StructureTag, k: int) -> bool:
@@ -181,8 +149,9 @@ def _is_cyclic_of(tag: StructureTag, k: int) -> bool:
     return tag.kind == "Cyclic" and tag.param == k
 
 
-def classify_kernel(s: AltStructure, tag: StructureTag) -> KernelCase:
-    """Match the kernel's recognised structure against the five-case table:
+def classify_kernel(s: AltStructure, tag: StructureTag) -> str:
+    """The row, "i" to "v", of the five-case table that (r, a) selects,
+    after matching the kernel's recognised structure against it:
 
     (i)   a = 2r       -> dihedral of order 2r
     (ii)  a = r = 2    -> subgroup of an elementary abelian 2-group
@@ -215,27 +184,24 @@ def classify_kernel(s: AltStructure, tag: StructureTag) -> KernelCase:
         raise InconsistentError(
             {"case": case, "expected": expected, "observed": str(tag),
              "r": r, "a": a, "order": tag.order})
-    return KernelCase(case=case, expected=expected, observed=tag,
-                      consistent=True)
+    return case
 
 
-def quotient_action(group: GroupByGenerators, b: BlockSystem,
-                    kernel: Optional[GroupByGenerators] = None
-                    ) -> GroupByGenerators:
-    """Induced permutation group on the blocks.  When the block kernel is
-    supplied, the induced order is verified to be |G| / |kernel|."""
+def quotient_action(group: GroupByGenerators, blocks: tuple,
+                    kernel: GroupByGenerators) -> GroupByGenerators:
+    """Induced permutation group on the blocks, whose order is verified to
+    be |G| / |kernel| for the kernel of the action."""
     induced = GroupByGenerators(
-        tuple(map(Permutation, block_images(group, b.blocks))),
-        degree=len(b.blocks))
-    if kernel is not None:
-        expect = group.order() // kernel.order()
-        if induced.order() != expect:
-            raise InconsistentError(
-                {"induced_order": induced.order(), "expected": expect})
+        tuple(map(Permutation, block_images(group, blocks))),
+        degree=len(blocks))
+    expect = group.order() // kernel.order()
+    if induced.order() != expect:
+        raise InconsistentError(
+            {"induced_order": induced.order(), "expected": expect})
     return induced
 
 
-def psi_isomorphism(s: AltStructure, b: BlockSystem,
+def psi_isomorphism(s: AltStructure, blocks: tuple,
                     quotient_alt: AltStructure) -> dict:
     """The cycle-level map: each alternating cycle goes to the sequence of
     blocks its vertices traverse, which is an alternating cycle of the
@@ -247,7 +213,7 @@ def psi_isomorphism(s: AltStructure, b: BlockSystem,
         raise PreconditionFailedError(
             f"cycle-level isomorphism needs a < r, got a = {s.attachment}, "
             f"r = {s.radius}")
-    block_of = b.block_of()
+    block_of = block_index(blocks)
     q_sets = {frozenset(c): cid for cid, c in enumerate(quotient_alt.cycles)}
     mapping = {}
     used = set()
@@ -296,7 +262,8 @@ def thm_pipeline(rec: Analysis) -> dict:
     if s.radius % 2 == 0 and s.attachment == 2:
         tau = antipodal_tau(rec.orientation, s)
         if tau is not None and tau not in rec.group:
-            rec = Analysis(rec.graph, rec.group.with_extra_generator(tau))
+            rec = Analysis(rec.graph, GroupByGenerators(
+                rec.group.generators + (tau,), degree=rec.group.degree))
             s = rec.structure
             extended = True
 
@@ -309,14 +276,14 @@ def thm_pipeline(rec: Analysis) -> dict:
     b = construction_b(s)
     k_b = rec.kernels["K_B"]
     orbit_blocks = _sorted_blocks(k_b.orbits(range(rec.graph.n)))
-    if orbit_blocks != b.blocks:
+    if orbit_blocks != b:
         raise InconsistentError(
             {"reason": "kernel orbits differ from the half-step blocks"})
     tag = rec.tags["K_B"]
     classify_kernel(s, tag)
 
     q = quotient_graph(rec.graph, b)
-    induced = quotient_action(rec.group, b, kernel=k_b)
+    induced = quotient_action(rec.group, b, k_b)
     if q.degenerate:
         report.update(outcome="degenerate-quotient",
                       kernel=str(tag), quotient_n=q.graph.n)
@@ -334,13 +301,6 @@ def thm_pipeline(rec: Analysis) -> dict:
                   quotient_kind=q_s.attachment_kind,
                   psi_cycle_map={int(k): int(v) for k, v in psi.items()})
     return report
-
-
-def _same_group(h: GroupByGenerators, k: GroupByGenerators) -> bool:
-    """One object, or equal orders and every generator of h lies in k.
-    ``action_kernel`` makes equal kernels of one chain one object."""
-    return h is k or (h.order() == k.order()
-                      and all(p in k for p in h.generators))
 
 
 class Analysis:
@@ -371,22 +331,26 @@ class Analysis:
 
     @cached_property
     def kernels_equal(self) -> bool:
+        """The kernels of one chain are nested levels of it, equal exactly
+        when the levels between them have one-point orbits, and then
+        ``action_kernel`` returns one object.  In the degenerate case K_A
+        is the group, which K_B equals only when it is that object too."""
         ks = self.kernels
-        return (_same_group(ks["K_alt"], ks["K_B"])
-                and _same_group(ks["K_B"], ks["K_A"]))
+        return ks["K_alt"] is ks["K_B"] is ks["K_A"]
 
     @cached_property
     def tags(self) -> dict:
         """Kernel name -> StructureTag, recognised once per distinct
-        subgroup."""
-        out = {}
-        for name, k in self.kernels.items():
-            same = [seen for seen in out if _same_group(self.kernels[seen], k)]
-            out[name] = out[same[0]] if same else group_structure(k)
-        return out
+        kernel object."""
+        by_id = {}
+        for k in self.kernels.values():
+            if id(k) not in by_id:
+                by_id[id(k)] = group_structure(k)
+        return {name: by_id[id(k)] for name, k in self.kernels.items()}
 
     @cached_property
-    def kernel_case(self) -> KernelCase:
+    def kernel_case(self) -> str:
+        """The row of the five-case table that K_alt fits."""
         return classify_kernel(self.structure, self.tags["K_alt"])
 
     @cached_property

@@ -13,12 +13,10 @@ from hatkit.fileio import (
     graph6_decode,
     graph6_encode,
     parse_edgelist,
-    parse_generator_lines,
     sparse6_decode,
     to_dot,
 )
 from hatkit.graphcore import Graph, build_graph
-from hatkit.perm import GroupByGenerators
 
 
 def random_graph(draw_edges, n):
@@ -153,17 +151,6 @@ class TestBundles:
         doc = {"n": 4, "edges": [[0, 1]], "generators": [[1, 0]]}
         with pytest.raises(BadPermutationError):
             bundle_from_json(json.dumps(doc))
-
-
-class TestGenerators:
-    def test_parse_lines(self):
-        grp = parse_generator_lines("[1, 0, 2]\n# comment\n[0, 2, 1]\n")
-        assert isinstance(grp, GroupByGenerators)
-        assert grp.order() == 6
-
-    def test_bad_line(self):
-        with pytest.raises(ParseError):
-            parse_generator_lines("[1, 0\n")
 
 
 class TestDot:

@@ -148,11 +148,9 @@ class TestPoolOracles:
                            for c in s.cycles]
             want = {
                 "K_alt": fixing(rec.group, cycle_edges, edge_set_act),
-                "K_B": fixing(rec.group, quotients.construction_b(s).blocks,
+                "K_B": fixing(rec.group, quotients.construction_b(s),
                               setwise_action),
-                "K_A": fixing(rec.group,
-                              quotients.attachment_partition(s).blocks,
-                              setwise_action),
+                "K_A": fixing(rec.group, s.attachment_sets, setwise_action),
             }
             got = {name: k.elements() for name, k in rec.kernels.items()}
             assert got == want, key
@@ -451,6 +449,18 @@ class TestCli:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err and f"cannot read {argv[1]}" in err
+
+    @pytest.mark.parametrize("argv", [["analyze", "xo:3,9,2"],
+                                      ["verify", "psi"]])
+    @pytest.mark.parametrize("target, error", [
+        ("missing/out.json", "FileNotFoundError"), (".", "IsADirectoryError")])
+    def test_unwritable_output_exit_code(self, argv, target, error, tmp_path,
+                                         monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "GridConfig", lambda extra_files: SMALL)
+        assert cli.main([*argv, "-o", target]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"error: {error}: " in err
 
     def test_unreadable_ingest_file_gets_an_error_row(self, tmp_path,
                                                       monkeypatch, capsys):

@@ -26,9 +26,7 @@ from hatkit.perm import (
 )
 from hatkit.quotients import (
     Analysis,
-    BlockSystem,
     alt_graph,
-    attachment_partition,
     classify_kernel,
     construction_b,
     kernels,
@@ -68,33 +66,33 @@ def cyclic_group(k, degree=None):
 class TestBlockSystems:
     def test_attachment_partition_layers(self):
         g, grp = build_xo(XoParams(3, 9, 2))
-        b = attachment_partition(analyzed(g, grp))
-        assert b.block_count == 3 and b.block_size == 9
+        b = analyzed(g, grp).attachment_sets
+        assert len(b) == 3 and len(b[0]) == 9
         # the attachment sets are the layers of the construction
-        assert b.blocks == tuple(frozenset(range(9 * i, 9 * i + 9))
-                                 for i in range(3))
+        assert b == tuple(frozenset(range(9 * i, 9 * i + 9))
+                          for i in range(3))
 
     def test_xe_partition(self):
         g, grp = build_xe(XeParams(4, 20, 3, 0))
-        b = attachment_partition(analyzed(g, grp))
-        assert b.block_count == 4 and b.block_size == 20
+        b = analyzed(g, grp).attachment_sets
+        assert len(b) == 4 and len(b[0]) == 20
 
     def test_construction_b_even_ell_equals_attachment(self):
         g, grp = build_xo(XoParams(3, 9, 2))  # ell = 2
         s = analyzed(g, grp)
-        assert construction_b(s).blocks == attachment_partition(s).blocks
+        assert construction_b(s) == s.attachment_sets
 
     def test_construction_b_odd_ell_halves(self):
         g, grp = k4_arc_instance()  # a = 2, ell = 3
         s = analyzed(g, grp)
         b = construction_b(s)
-        assert b.block_size == 1 and b.block_count == g.n
+        assert len(b[0]) == 1 and len(b) == g.n
 
 
 class TestQuotientGraph:
     def test_tight_quotient_is_triangle(self):
         g, grp = build_xo(XoParams(3, 9, 2))
-        q = quotient_graph(g, attachment_partition(analyzed(g, grp)))
+        q = quotient_graph(g, analyzed(g, grp).attachment_sets)
         assert q.graph.n == 3 and len(q.graph.edges) == 3
         # a tightly attached graph collapses to a cycle: flagged degenerate
         assert q.degenerate and q.multiplicity > 1
@@ -109,8 +107,7 @@ class TestQuotientGraph:
     def test_wreath_fiber_quotient_degenerate(self):
         n = 5
         g = build_wreath(n)
-        fibers = BlockSystem(tuple(frozenset({2 * i, 2 * i + 1})
-                                   for i in range(n)))
+        fibers = tuple(frozenset({2 * i, 2 * i + 1}) for i in range(n))
         q = quotient_graph(g, fibers)
         assert q.multiplicity == 4 and q.degenerate
         assert q.graph.is_regular(2)
@@ -161,36 +158,36 @@ class TestKernels:
 
 
 def classified(g, grp):
+    """The row of K_alt and K_alt's recognised structure."""
     s = analyzed(g, grp)
-    return classify_kernel(s, group_structure(kernels(grp, s)["K_alt"]))
+    tag = group_structure(kernels(grp, s)["K_alt"])
+    return classify_kernel(s, tag), str(tag)
 
 
 class TestClassify:
     def test_case_iii(self):
-        case = classified(*build_xo(XoParams(3, 9, 2)))
-        assert case.case == "iii" and str(case.observed) == "Dihedral(18)"
+        assert classified(*build_xo(XoParams(3, 9, 2))) == (
+            "iii", "Dihedral(18)")
 
     def test_case_i(self):
-        case = classified(*special_circulant_k44())
-        assert case.case == "i" and str(case.observed) == "Dihedral(8)"
+        assert classified(*special_circulant_k44()) == ("i", "Dihedral(8)")
 
     def test_case_ii(self):
-        assert classified(build_wreath(4), wreath_hat_group(4)).case == "ii"
+        assert classified(build_wreath(4), wreath_hat_group(4))[0] == "ii"
 
     def test_case_v(self):
-        assert classified(*k4_arc_instance()).case == "v"
+        assert classified(*k4_arc_instance())[0] == "v"
 
     def test_case_iv_table_row(self):
         # no desk-scale instance exists with 3 <= a < r, a | r; the table
         # row itself is exercised with a synthetic kernel
-        case = classify_kernel(stub_structure(r=12, a=3),
-                               group_structure(cyclic_group(3)))
-        assert case.case == "iv" and str(case.observed) == "Cyclic(3)"
+        tag = group_structure(cyclic_group(3))
+        assert str(tag) == "Cyclic(3)"
+        assert classify_kernel(stub_structure(r=12, a=3), tag) == "iv"
 
     def test_case_iv_a2_trivial_allowed(self):
-        case = classify_kernel(stub_structure(r=4, a=2),
-                               StructureTag("Trivial"))
-        assert case.case == "iv" and case.consistent
+        assert classify_kernel(stub_structure(r=4, a=2),
+                               StructureTag("Trivial")) == "iv"
 
     def test_inconsistent_raises(self):
         with pytest.raises(InconsistentError):
@@ -202,22 +199,28 @@ class TestQuotientAction:
     def test_induced_order(self):
         g, grp = build_xo(XoParams(3, 9, 2))
         s = analyzed(g, grp)
-        b = attachment_partition(s)
         ks = kernels(grp, s)
-        induced = quotient_action(grp, b, kernel=ks["K_A"])
+        induced = quotient_action(grp, s.attachment_sets, ks["K_A"])
         assert induced.order() == grp.order() // ks["K_A"].order()
+
+    def test_wrong_kernel_order_rejected(self):
+        g, grp = build_xo(XoParams(3, 9, 2))
+        b = analyzed(g, grp).attachment_sets
+        with pytest.raises(InconsistentError):
+            quotient_action(grp, b, GroupByGenerators.trivial(g.n))
 
     def test_non_invariant_blocks_rejected(self):
         g, grp = build_xo(XoParams(3, 9, 2))
-        bad = BlockSystem(tuple(frozenset({3 * i, 3 * i + 1, 3 * i + 2})
-                                for i in range(9)))
+        bad = tuple(frozenset({3 * i, 3 * i + 1, 3 * i + 2})
+                    for i in range(9))
         with pytest.raises(BlocksNotInvariantError):
-            quotient_action(grp, bad)
+            quotient_action(grp, bad, GroupByGenerators.trivial(g.n))
 
     def test_trivial_group(self):
         g, grp = build_xo(XoParams(3, 9, 2))
-        b = attachment_partition(analyzed(g, grp))
-        induced = quotient_action(GroupByGenerators.trivial(g.n), b)
+        b = analyzed(g, grp).attachment_sets
+        trivial = GroupByGenerators.trivial(g.n)
+        induced = quotient_action(trivial, b, trivial)
         assert induced.order() == 1
 
 
@@ -227,7 +230,7 @@ class TestPsi:
         s = analyzed(g, grp)
         b = construction_b(s)
         q = quotient_graph(g, b)
-        induced = quotient_action(grp, b)
+        induced = quotient_action(grp, b, kernels(grp, s)["K_B"])
         q_s = analyze(certify_hat(q.graph, induced))
         mapping = psi_isomorphism(s, b, q_s)
         assert sorted(mapping) == list(range(len(s.cycles)))
@@ -237,7 +240,7 @@ class TestPsi:
         g, grp = build_xo(XoParams(3, 9, 2))
         s = analyzed(g, grp)
         with pytest.raises(PreconditionFailedError):
-            psi_isomorphism(s, attachment_partition(s), s)
+            psi_isomorphism(s, s.attachment_sets, s)
 
 
 class TestPipeline:

@@ -69,7 +69,27 @@ def test_bench_pairs_alternates_and_counts_wins(tmp_path):
     row = section["summary"]["wall_s"]
     assert row["parent"]["median"] == 2.02 and row["change"]["median"] == 1.02
     assert row["change_won"] == 3 and row["gain"] and row["within_bound"]
+    assert not row["unresolved"]
     assert section["failed"] == {"parent": 0, "change": 0}
+
+
+def test_bench_pairs_unresolved_when_parent_spread_exceeds_bound():
+    bench = load("bench_pairs")
+    metrics = {"wall_s": ("lower", 0.25)}
+
+    def pairs(parent, change):
+        return [{side: {"metrics": {"wall_s": {"value": v, "unit": "s"}}}
+                 for side, v in (("parent", a), ("change", b))}
+                for a, b in zip(parent, change)]
+
+    # parent quartiles 1.5 and 3.5 around a median of 2.5: a spread of 2.0
+    # against a bound of 0.625
+    wide = [1.0, 2.0, 3.0, 4.0]
+    row = bench.summarize(pairs(wide, [1.5, 2.5, 2.5, 3.5]), metrics)["wall_s"]
+    assert row["within_bound"] and row["unresolved"]
+    # every change run beats every parent run: resolved despite the spread
+    row = bench.summarize(pairs(wide, [0.5, 0.6, 0.7, 0.8]), metrics)["wall_s"]
+    assert row["within_bound"] and not row["unresolved"]
 
 
 def test_scale_ladder_tiny_rung(tmp_path):
