@@ -3,19 +3,22 @@
 run, and record how far each gets.
 
 Usage:
-    python3 scripts/scale_ladder.py [--specs xo:4,101,1 wreath:100 ...] \\
-        [--timeout 300] [-o BENCH_n.json]
+    python3 scripts/scale_ladder.py [--rungs "aut xo:4,101,1" ...] \\
+        [--parent DIR] [--timeout 300] [-o BENCH_n.json]
 
-Each rung is a command and an instance specifier: ``aut SPEC`` and
-``analyze --aut SPEC``, on Xo(4,r;1) for growing r and on ``wreath:k`` up
-to k = 600.  Every run is ``python3 -m hatkit.cli`` with this checkout's
-``src`` first on the import path and a wall-clock timeout; its standard
-output is discarded.  A run records its wall seconds, its peak resident
-set size in MB (from ``os.wait4``, so the figure belongs to that child
-alone), its exit code (None when the timeout stopped it) and the last line
-it wrote to standard error.  The result is one section of the JSON file,
-so that the file can also hold other sections; without ``-o`` it goes to
-standard output.
+A rung is one hatkit command line: ``aut SPEC`` and ``analyze --aut SPEC``
+on Xo(4,r;1) for growing r and on ``wreath:k`` up to k = 600, ``iso`` on
+Xo(4,r;1) against Xo(4,r;r-1), which q -> -q makes isomorphic, and ``aut``
+and ``iso`` on circulants of order 10,000.  Every run is ``python3 -m
+hatkit.cli`` with a checkout's ``src`` first on the import path and a
+wall-clock timeout; its standard output is discarded.  With ``--parent``,
+each rung runs on that checkout and on this one, the side that runs first
+alternating from rung to rung.  A run records its side, its wall seconds,
+its peak resident set size in MB (from ``os.wait4``, so the figure belongs
+to that child alone), its exit code (None when the timeout stopped it) and
+the last line it wrote to standard error.  The result is one section of
+the JSON file, so that the file can also hold other sections; without
+``-o`` it goes to standard output.
 """
 
 from __future__ import annotations
@@ -31,17 +34,22 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-COMMANDS = (("aut",), ("analyze", "--aut"))
 SPECS = ("xo:4,101,1", "xo:4,251,1", "xo:4,501,1", "xo:4,1001,1",
          "wreath:100", "wreath:200", "wreath:300", "wreath:600")
+RUNGS = (*(f"aut {spec}" for spec in SPECS),
+         *(f"analyze --aut {spec}" for spec in SPECS),
+         *(f"iso xo:4,{r},1 xo:4,{r},{r - 1}" for r in (101, 251, 501, 1001)),
+         "aut circ:10000:1,7",
+         "iso circ:10000:1,7 circ:10000:1,9993")
 SECTION = "scale ladder"
 
 
-def run_once(argv: list, timeout: float) -> dict:
-    """One hatkit run as a child process, waited for with ``os.wait4``."""
+def run_once(argv: list, timeout: float, root: Path = ROOT) -> dict:
+    """One hatkit run of the checkout ``root`` as a child process, waited
+    for with ``os.wait4``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     with tempfile.TemporaryFile() as err:
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "hatkit.cli", *argv],
@@ -69,28 +77,37 @@ def run_once(argv: list, timeout: float) -> dict:
             "stderr": lines[-1] if lines else ""}
 
 
-def ladder(specs, timeout: float, run=run_once, log=None) -> dict:
-    """Every command on every spec, in order."""
+def ladder(rungs, timeout: float, roots: dict, run=run_once,
+           log=None) -> dict:
+    """Every rung in order, on each checkout of ``roots`` (side name to
+    checkout), the first side alternating from rung to rung."""
     runs = []
-    for argv in COMMANDS:
-        for spec in specs:
-            result = run([*argv, spec], timeout)
+    for k, rung in enumerate(rungs):
+        sides = list(roots)[::-1 if k % 2 else 1]
+        for side in sides:
+            result = {"side": side, **run(rung.split(), timeout, roots[side])}
             runs.append(result)
             if log:
-                log(f"{' '.join(result['argv'])}: exit {result['exit']}, "
+                log(f"{side}: {rung}: exit {result['exit']}, "
                     f"{result['seconds']} s, {result['peak_rss_mb']} MB")
-    return {"command": "python3 -m hatkit.cli COMMAND SPEC",
-            "timeout_s": timeout, "runs": runs}
+    return {"command": "python3 -m hatkit.cli RUNG", "timeout_s": timeout,
+            "runs": runs}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--specs", nargs="+", default=list(SPECS))
+    parser.add_argument("--rungs", nargs="+", default=list(RUNGS),
+                        help="hatkit command lines, each one argument")
+    parser.add_argument("--parent", type=Path,
+                        help="also run every rung on this checkout")
     parser.add_argument("--timeout", type=float, default=300.0)
     parser.add_argument("-o", "--output", type=Path)
     args = parser.parse_args(argv)
 
-    section = ladder(args.specs, args.timeout,
+    roots = {"change": ROOT}
+    if args.parent:
+        roots = {"parent": args.parent.resolve(), **roots}
+    section = ladder(args.rungs, args.timeout, roots,
                      log=lambda line: print(line, file=sys.stderr))
     if args.output is None:
         print(json.dumps({SECTION: section}, indent=1))

@@ -2,10 +2,13 @@
 equitable-partition refinement with individualization backtracking.
 
 Refinement splits cells against a queue of splitter cells (Hopcroft 1971;
-McKay 1981).  Deterministic choices throughout: the target cell is the
-first smallest non-singleton cell, branching tries vertices in increasing
-order, and the canonical certificate is the lexicographically least
-relabeled edge tuple over all search leaves.
+McKay 1981), moving only the vertices a splitter hits, so that a split
+costs time in those vertices, not in the size of the cell (McKay &
+Piperno, *J. Symbolic Comput.* 2014, section 3).  Deterministic choices
+throughout: the target cell is the first smallest non-singleton cell,
+branching tries vertices in increasing order, and the canonical
+certificate is the lexicographically least relabeled edge tuple over all
+search leaves.
 
 The search is depth-first on an explicit stack, one frame per node of the
 current path, so no depth reaches Python's recursion limit.  The first
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional, Tuple
 
 from .errors import SearchBudgetExceededError
@@ -147,7 +151,9 @@ class _Search:
     A partition is held as ``lab``, the vertices listed cell by cell,
     ``length``, where ``length[s]`` is the size of the cell starting at
     position s, and ``start_of[v]``, the start of v's cell.  A cell is
-    named by its start position, which no split moves.
+    named by its start position, which no split moves.  ``pos``, the
+    inverse of ``lab``, is one list, filled by ``_node``; frames do not
+    store it.  Nothing reads the order within a cell.
     """
 
     def __init__(self, g: Graph, budget: int):
@@ -157,9 +163,10 @@ class _Search:
         self.budget = budget
         self.nodes = 0
         self.identity = tuple(range(self.n))
+        self.pos = [0] * self.n
         self.auts: list = []  # (images, moved points) of each automorphism
         self.base: Optional[tuple] = None  # the first path
-        self.first_cert: Optional[tuple] = None
+        self.first_lab: Optional[list] = None
         self.best_cert: Optional[tuple] = None
         self.best_labeling: Optional[tuple] = None
 
@@ -181,21 +188,24 @@ class _Search:
         lab[s:s + length[s]] = [v] + rest
         length[s + 1] = length[s] - 1
         length[s] = 1
+        t = s + 1  # one int object shared by the rest, not one per vertex
         for w in rest:
-            start_of[w] = s + 1
+            start_of[w] = t
         return lab, length, start_of, [s]
 
-    def refine(self, lab, length, start_of, queue):
+    def refine(self, lab, length, start_of, pos, queue):
         """Split cells in place against the queued splitter cells until the
-        partition is equitable.
+        partition is equitable, keeping ``pos`` the inverse of ``lab``.
 
         A splitter splits each cell it touches by the number of neighbours
         its vertices have in it, fragments in increasing count.  A split
         cell that is still queued queues its new fragments; otherwise every
         fragment but the first largest is queued.  Every decision reads
         positions, sizes and counts, never vertex labels, so the ordered
-        partition commutes with relabelling.  Returns the starts of the
-        cells split.
+        partition commutes with relabelling.  A split swaps the hit
+        vertices to the end of the cell, so it costs time in them, not in
+        the cell's size; the missed ones keep their places and
+        ``start_of``.  Returns the starts of the cells split.
         """
         adj = self.adj
         queue = deque(queue)
@@ -204,42 +214,59 @@ class _Search:
         while queue:
             s = queue.popleft()
             queued.discard(s)
-            count = {}
-            for w in lab[s:s + length[s]]:
-                for v in adj[w]:
-                    count[v] = count.get(v, 0) + 1
+            if length[s] == 1:
+                count = None  # a singleton hits each neighbour once
+                hits = adj[lab[s]]
+            else:
+                count = {}
+                for w in lab[s:s + length[s]]:
+                    for v in adj[w]:
+                        count[v] = count.get(v, 0) + 1
+                hits = count
             touched = {}
-            for v in count:
-                touched.setdefault(start_of[v], []).append(v)
+            for v in hits:
+                c = start_of[v]
+                if length[c] > 1:
+                    if c in touched:
+                        touched[c].append(v)
+                    else:
+                        touched[c] = [v]
             for c in sorted(touched):
-                size = length[c]
-                if size == 1:
-                    continue
                 hit = touched[c]
-                groups = {}
-                for v in hit:
-                    groups.setdefault(count[v], []).append(v)
-                if len(hit) < size:
-                    groups[0] = [v for v in lab[c:c + size] if v not in count]
-                if len(groups) == 1:
-                    continue
-                split.append(c)
-                pos = c
-                fragments = []
-                for k in sorted(groups):
-                    fragment = groups[k]
-                    lab[pos:pos + len(fragment)] = fragment
-                    length[pos] = len(fragment)
-                    for v in fragment:
-                        start_of[v] = pos
-                    fragments.append(pos)
-                    pos += len(fragment)
-                if c in queued:
-                    fragments = fragments[1:]
+                size = length[c]
+                back = c + size - len(hit)
+                if count is None:
+                    if back == c:
+                        continue
+                    fragments = [hit]
                 else:
-                    fragments.remove(max(fragments, key=length.__getitem__))
-                queue.extend(fragments)
-                queued.update(fragments)
+                    hit.sort(key=count.__getitem__)
+                    if back == c and count[hit[0]] == count[hit[-1]]:
+                        continue
+                    fragments = [list(f) for _k, f in
+                                 groupby(hit, count.__getitem__)]
+                split.append(c)
+                for q, v in enumerate(hit, back):
+                    u, p = lab[q], pos[v]
+                    lab[p], pos[u] = u, p
+                    lab[q], pos[v] = v, q
+                starts = []
+                if back != c:  # the count-0 fragment
+                    length[c] = back - c
+                    starts.append(c)
+                for fragment in fragments:
+                    length[back] = len(fragment)
+                    if back != c:
+                        for v in fragment:
+                            start_of[v] = back
+                    starts.append(back)
+                    back += len(fragment)
+                if c in queued:
+                    del starts[0]
+                else:
+                    starts.remove(max(starts, key=length.__getitem__))
+                queue.extend(starts)
+                queued.update(starts)
         return split
 
     # -- search --------------------------------------------------------------
@@ -275,25 +302,28 @@ class _Search:
         ``stack``: refine its partition, then push its frame, or, when no
         cell has more than two points, walk down to its first leaf."""
         self._count()
-        self.refine(lab, length, start_of, queue)
-        target, widest, pos = None, 1, 0
-        while pos < self.n:
-            size = length[pos]
+        pos = self.pos
+        for v, i in zip(lab, self.identity):  # shared ints, not new ones
+            pos[v] = i
+        self.refine(lab, length, start_of, pos, queue)
+        target, widest, c = None, 1, 0
+        while c < self.n:
+            size = length[c]
             if size > 1:
                 if target is None or size < length[target]:
-                    target = pos
+                    target = c
                 widest = max(widest, size)
-            pos += size
+            c += size
         if widest <= 2:
-            path = self._descend(stack, lab, length, start_of)
-            self._leaf(lab, stack, path)
+            path = self._descend(stack, lab, length, start_of, pos)
+            self._leaf(lab, pos, stack, path)
         elif stack:
             stack.append(_Frame(lab, length, start_of, target, stack[-1]))
         else:
             stack.append(_Frame(lab, length, start_of, target, None,
                                 list(self.auts)))
 
-    def _descend(self, stack, lab, length, start_of):
+    def _descend(self, stack, lab, length, start_of, pos):
         """From a node whose cells have at most two points, individualise
         in place, as the first branches would, down to the first leaf
         below it, and return the vertices individualised.
@@ -311,25 +341,26 @@ class _Search:
         recorded as the automorphism of that level.
         """
         path = []
-        pos = 0
-        while pos < self.n:
-            if length[pos] == 2:
+        c = 0
+        while c < self.n:
+            if length[c] == 2:
                 self._count()
-                v, w = sorted(lab[pos:pos + 2])
-                lab[pos], lab[pos + 1] = v, w
-                length[pos] = length[pos + 1] = 1
-                start_of[w] = pos + 1
-                split = self.refine(lab, length, start_of, [pos])
+                v, w = sorted(lab[c:c + 2])
+                lab[c], lab[c + 1] = v, w
+                pos[v], pos[w] = c, c + 1
+                length[c] = length[c + 1] = 1
+                start_of[w] = c + 1
+                split = self.refine(lab, length, start_of, pos, [c])
                 if self.base is None:
                     swap = list(self.identity)
                     moved = []
-                    for c in [pos] + split:
-                        x, y = lab[c], lab[c + 1]
+                    for d in [c] + split:
+                        x, y = lab[d], lab[d + 1]
                         swap[x], swap[y] = y, x
                         moved += (x, y)
                     self._record((tuple(swap), moved), stack)
                 path.append(v)
-            pos += length[pos]
+            c += length[c]
         return path
 
     def _record(self, found, stack):
@@ -341,35 +372,39 @@ class _Search:
                 break
             frame.auts.append(found)
 
-    def _leaf(self, lab, stack, path):
-        labeling = [0] * self.n
-        for pos, v in enumerate(lab):
-            labeling[v] = pos
-        cert = tuple(sorted(
-            (labeling[u], labeling[v]) if labeling[u] < labeling[v]
-            else (labeling[v], labeling[u]) for u, v in self.g.edges))
-        if self.first_cert is None:
-            self.first_cert = cert
-            self.first_lab = lab
+    def _leaf(self, lab, pos, stack, path):
+        """Compare a leaf, labelled by ``pos``, with the first.  Their
+        certificates are equal exactly when the two labellings compose to
+        an automorphism, so that is checked first, and only a leaf that
+        gives none sorts its certificate."""
+        if self.base is None:
             self.base = tuple(frame.vertex for frame in stack) + tuple(path)
-        elif cert == self.first_cert:
-            # two labelings with equal certs compose to an automorphism;
+            self.first_lab = lab
+            self.best_cert, self.best_labeling = self._certificate(pos), pos[:]
+            return
+        first_lab, adj = self.first_lab, self.adj
+        aut = [first_lab[i] for i in pos]
+        if all(aut[v] in adj[aut[u]] for u, v in self.g.edges):
             # leaves differ in the vertex some node individualized, so each
             # one found is new and not the identity.  It maps the vertex
             # individualized at each depth to the first path's, so it fixes
             # the common prefix and maps the first path's subtree below the
             # prefix onto this leaf's: the rest of that subtree is skipped.
-            aut = [0] * self.n
-            for x, y in zip(lab, self.first_lab):
-                aut[x] = y
             common = next(d for d, frame in enumerate(stack)
                           if frame.vertex != self.base[d])
             del stack[common + 1:]
             self._record((tuple(aut), [x for x, y in enumerate(aut)
                                        if x != y]), stack)
-        if self.best_cert is None or cert < self.best_cert:
-            self.best_cert = cert
-            self.best_labeling = labeling
+            return
+        cert = self._certificate(pos)
+        if cert < self.best_cert:
+            self.best_cert, self.best_labeling = cert, pos[:]
+
+    def _certificate(self, labeling):
+        """The sorted edge tuple of the graph relabelled by ``labeling``."""
+        return tuple(sorted(
+            (labeling[u], labeling[v]) if labeling[u] < labeling[v]
+            else (labeling[v], labeling[u]) for u, v in self.g.edges))
 
 
 def _searched(g: Graph, budget: int) -> _Search:

@@ -17,6 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from itertools import islice
 from pathlib import Path
 
 from . import autsearch, harness, quotients
@@ -87,12 +89,19 @@ def parse_instance(spec: str):
     raise ParseError(f"unrecognized instance specifier {spec!r}")
 
 
+def _write_json(doc, stream):
+    """Write ``doc`` as indented JSON, 4,096 encoder chunks per write."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    while text := "".join(islice(chunks, 4096)):
+        stream.write(text)
+
+
 def _emit(doc, args):
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    if getattr(args, "output", None):
-        Path(args.output).write_text(text + "\n")
-    else:
-        print(text)
+    """Write ``doc`` as indented JSON to the ``-o`` file or to stdout."""
+    output = getattr(args, "output", None)
+    with open(output, "w") if output else nullcontext(sys.stdout) as stream:
+        _write_json(doc, stream)
+        stream.write("\n")
 
 
 def _emit_graph(g, args, group=None, params=None):
@@ -171,16 +180,19 @@ def cmd_aut(args):
 
 def cmd_verify(args):
     cfg = harness.GridConfig(extra_files=tuple(args.ingest or ()))
-    reports = harness.run_suites(args.suites or harness.SUITE_NAMES, cfg)
-    for report in reports:
-        counts = report.counts()
-        print(f"{report.suite}: {'PASS' if report.passed else 'FAIL'} "
-              f"({counts['pass']} pass, {counts['fail']} fail, "
-              f"{counts['skip']} skip, {counts['error']} error, "
-              f"{report.wall_time:.1f}s)", file=sys.stderr)
-    if args.output:
-        Path(args.output).write_text(json.dumps(
-            [r.to_json() for r in reports], indent=2, sort_keys=True))
+    names = args.suites or harness.SUITE_NAMES
+    harness.check_suite_names(names)
+    # opened before the run, so that an unwritable output fails at once
+    with open(args.output, "w") if args.output else nullcontext() as out:
+        reports = harness.run_suites(names, cfg)
+        for report in reports:
+            counts = report.counts()
+            print(f"{report.suite}: {'PASS' if report.passed else 'FAIL'} "
+                  f"({counts['pass']} pass, {counts['fail']} fail, "
+                  f"{counts['skip']} skip, {counts['error']} error, "
+                  f"{report.wall_time:.1f}s)", file=sys.stderr)
+        if out is not None:
+            _write_json([r.to_json() for r in reports], out)
     if not all(r.passed for r in reports):
         sys.exit(1)
 

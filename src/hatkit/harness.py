@@ -339,6 +339,14 @@ def _suite_iso_relations(cfg: GridConfig) -> SuiteReport:
     return SuiteReport("iso-relations", results, time.monotonic() - start)
 
 
+def check_suite_names(names):
+    """Raise ValueError on the first name in ``names`` that is no suite."""
+    for name in names:
+        if name not in SUITE_NAMES:
+            raise ValueError(
+                f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+
+
 def run_suites(names, cfg: Optional[GridConfig] = None) -> list:
     """Run the named suites and return their reports in the given order.
 
@@ -348,10 +356,7 @@ def run_suites(names, cfg: Optional[GridConfig] = None) -> list:
     suite's wall time is the time spent in its checks, including the
     shared fields a check was first to compute.
     """
-    for name in names:
-        if name not in SUITE_NAMES:
-            raise ValueError(
-                f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    check_suite_names(names)
     cfg = cfg or GridConfig()
     pool_names = [n for n in dict.fromkeys(names) if n in _POOL_SUITES]
     rows = {n: [] for n in pool_names}

@@ -1,6 +1,9 @@
 """Oracles shared by the tests, written independently of the library's
 stabilizer chains, block actions, jump-pair reading, splitter-queue
-refinement, doubled-graph swapper search and alternating-cycle traversal."""
+refinement, doubled-graph swapper search and alternating-cycle traversal,
+and the scanning form of that refinement, kept as its reference."""
+
+from collections import deque
 
 from hatkit.errors import (
     AlternatingStructureError,
@@ -190,6 +193,58 @@ def jump_at(og, cycles, v, ell):
                        Y[(y0 - q * ell) % length]} & targets)
 
     return least(C, tp, Cp, hp), least(Cp, hp, C, tp)
+
+
+def scanning_refine(adj, lab, length, start_of, queue):
+    """The splitter-queue refinement of ``autsearch`` as it was before its
+    splits moved only the vertices hit: each split cell is rebuilt in full,
+    the missed vertices by a scan of the cell, and every fragment's
+    ``start_of`` rewritten.  Splits ``lab``, ``length`` and ``start_of`` in
+    place, with the same ordered cells and queue as the library, and
+    returns the starts of the cells split."""
+    queue = deque(queue)
+    queued = set(queue)
+    split = []
+    while queue:
+        s = queue.popleft()
+        queued.discard(s)
+        count = {}
+        for w in lab[s:s + length[s]]:
+            for v in adj[w]:
+                count[v] = count.get(v, 0) + 1
+        touched = {}
+        for v in count:
+            touched.setdefault(start_of[v], []).append(v)
+        for c in sorted(touched):
+            size = length[c]
+            if size == 1:
+                continue
+            hit = touched[c]
+            groups = {}
+            for v in hit:
+                groups.setdefault(count[v], []).append(v)
+            if len(hit) < size:
+                groups[0] = [v for v in lab[c:c + size] if v not in count]
+            if len(groups) == 1:
+                continue
+            split.append(c)
+            pos = c
+            fragments = []
+            for k in sorted(groups):
+                fragment = groups[k]
+                lab[pos:pos + len(fragment)] = fragment
+                length[pos] = len(fragment)
+                for v in fragment:
+                    start_of[v] = pos
+                fragments.append(pos)
+                pos += len(fragment)
+            if c in queued:
+                fragments = fragments[1:]
+            else:
+                fragments.remove(max(fragments, key=length.__getitem__))
+            queue.extend(fragments)
+            queued.update(fragments)
+    return split
 
 
 def refine(adj, cells):

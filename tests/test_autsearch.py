@@ -31,7 +31,8 @@ from hatkit.graphcore import (
 )
 from hatkit.harness import instance_pool
 from hatkit.perm import Permutation, StabilizerChain
-from oracles import closure, orbit_swapper, refine, reverse_orientation
+from oracles import (closure, orbit_swapper, refine, reverse_orientation,
+                     scanning_refine)
 from oracles import is_automorphism as automorphism_by_definition
 from test_harness import SMALL
 
@@ -121,23 +122,50 @@ def cells_of(lab, length):
     return out
 
 
+def refined_against_references(s, lab, length, start_of, queue):
+    """Refine the partition in place, with ``pos`` filled from ``lab``, and
+    check it against the scanning reference, which must give the same
+    ordered cells, ``length``, ``start_of`` and split cells, and against
+    the full-round oracle, which must give the same set partition; ``pos``
+    must stay the inverse of ``lab``."""
+    given = list(cells_of(lab, length).values())
+    ref = lab[:], length[:], start_of[:]
+    ref_split = scanning_refine(s.adj, *ref, queue)
+    pos = [0] * s.n
+    for i, v in enumerate(lab):
+        pos[v] = i
+    assert s.refine(lab, length, start_of, pos, queue) == ref_split
+    cells = cells_of(lab, length)
+    assert cells == cells_of(ref[0], ref[1])
+    assert (length, start_of) == (ref[1], ref[2])
+    assert all(lab[pos[v]] == v for v in range(s.n))
+    assert set(cells.values()) == set(
+        map(frozenset, refine(s.adj, given)))
+    assert all(v in cells[start_of[v]] for v in range(s.n))
+
+
 def check_refine(g):
-    """The splitter-queue refinement and the full-round oracle give the same
-    set partition at the root and after individualising each vertex, and
-    ``start_of`` names each vertex's cell."""
+    """The refinement against its references at the root, after
+    individualising each vertex there, and at every node of the path that
+    individualises the least vertex of the first smallest cell down to a
+    discrete partition."""
     s = _Search(g, budget=0)
-    lab, length, start_of, queue = s.unit()
-    partitions = [(lab, length, start_of, queue)]
-    s.refine(lab, length, start_of, queue)
-    partitions += [s.individualized(lab, length, start_of, v)
-                   for v in range(g.n) if length[start_of[v]] > 1]
-    for lab, length, start_of, queue in partitions:
-        given = list(cells_of(lab, length).values())
-        s.refine(lab, length, start_of, queue)
-        cells = cells_of(lab, length)
-        assert set(cells.values()) == set(
-            map(frozenset, refine(g.adjacency, given)))
-        assert all(v in cells[start_of[v]] for v in range(g.n))
+    root = s.unit()
+    refined_against_references(s, *root)
+    lab, length, start_of, _queue = root
+    for v in range(g.n):
+        if length[start_of[v]] > 1:
+            refined_against_references(
+                s, *s.individualized(lab, length, start_of, v))
+    while True:
+        starts = [c for c in cells_of(lab, length) if length[c] > 1]
+        if not starts:
+            return
+        target = min(starts, key=length.__getitem__)
+        v = min(lab[target:target + length[target]])
+        lab, length, start_of, queue = s.individualized(lab, length,
+                                                        start_of, v)
+        refined_against_references(s, lab, length, start_of, queue)
 
 
 class TestRefinementOracle:

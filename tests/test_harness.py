@@ -462,6 +462,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "Traceback" not in err and f"error: {error}: " in err
 
+    def test_unwritable_verify_output_fails_before_the_run(
+            self, tmp_path, monkeypatch, capsys):
+        def no_pool(_cfg):
+            raise AssertionError("a pool instance was built")
+        monkeypatch.setattr(harness, "instance_pool", no_pool)
+        target = tmp_path / "missing" / "x.json"
+        assert cli.main(["verify", "-o", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "error: FileNotFoundError: " in err
+        # an unknown suite is rejected before the output is created
+        assert cli.main(["verify", "nosuch", "-o", str(tmp_path / "y")]) == 2
+        assert not (tmp_path / "y").exists()
+
     def test_unreadable_ingest_file_gets_an_error_row(self, tmp_path,
                                                       monkeypatch, capsys):
         monkeypatch.setattr(harness, "GridConfig", lambda extra_files: (

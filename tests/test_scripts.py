@@ -95,9 +95,12 @@ def test_bench_pairs_unresolved_when_parent_spread_exceeds_bound():
 def test_scale_ladder_tiny_rung(tmp_path):
     ladder = load("scale_ladder")
     out = tmp_path / "ladder.json"
-    ladder.main(["--specs", "xo:3,9,2", "--timeout", "60", "-o", str(out)])
+    ladder.main(["--rungs", "aut xo:3,9,2", "analyze --aut xo:3,9,2",
+                 "iso xo:3,9,2 xo:3,9,7", "--timeout", "60", "-o", str(out)])
     runs = json.loads(out.read_text())["scale ladder"]["runs"]
-    assert [run["argv"] for run in runs] == [["aut", "xo:3,9,2"],
-                                             ["analyze", "--aut", "xo:3,9,2"]]
-    assert all(run["exit"] == 0 and run["seconds"] > 0
-               and run["peak_rss_mb"] > 0 for run in runs)
+    assert [run["argv"] for run in runs] == [
+        ["aut", "xo:3,9,2"], ["analyze", "--aut", "xo:3,9,2"],
+        ["iso", "xo:3,9,2", "xo:3,9,7"]]
+    assert all(run["side"] == "change" and run["exit"] == 0
+               and run["seconds"] > 0 and run["peak_rss_mb"] > 0
+               for run in runs)
