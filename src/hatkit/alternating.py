@@ -5,13 +5,18 @@ the alternating jump.
 The jump parameters are computed from explicit cycle-position arithmetic,
 so a group is only needed later, for kernels.  Cycles are normalized to
 start at their least vertex with the lesser neighbor second, which makes
-every index computation reproducible.
+every index computation reproducible.  Each vertex's two cycles and its
+positions on them are kept in vertex-indexed lists, from which the
+structural checks, the attachment sets and the jump pair are read.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, compress
+from operator import add, contains, eq, mul, not_, sub
 from typing import Dict, Optional, Tuple
 
 from .constructions import build_circulant
@@ -33,35 +38,36 @@ def alternating_cycles(og: OrientedGraph) -> list:
     Traversal rule: from the tail of an arc go to its head, on to the
     other in-neighbour of that head, then to the other out-neighbour of
     that tail, and so on.  Every edge lies on exactly one alternating cycle.
+    A vertex's two in- or out-neighbours sum to the same number, so the
+    other one is that sum less the one just left.  A tail is the tail of
+    both its arcs on its cycle, so a tail met twice is an edge walked
+    twice.  A normalized cycle starts with the lesser end of its least
+    edge and goes on to the other end, so sorting the normalized cycles
+    sorts them by least edge.
     """
-    out, inn, n = og.out_neighbors, og.in_neighbors, og.graph.n
-    used = set()  # arcs t*n + h already on a cycle
+    out, n = og.out_neighbors, og.graph.n
+    out_sum = list(map(sum, out))
+    in_sum = list(map(sum, og.in_neighbors))
+    met = bytearray(n)  # vertices met as a tail
     cycles = []
-    for u in range(n):
-        for v in og.graph.adjacency[u]:
-            if v < u:
-                continue
-            t, h = (u, v) if v in out[u] else (v, u)
-            if t * n + h in used:
-                continue
-            t0, h0, cycle = t, h, []
-            while True:
-                cycle += (t, h)
-                a, b = inn[h]
-                t_next = b if a == t else a
-                for arc in (t * n + h, t_next * n + h):
-                    if arc in used:
-                        raise AlternatingStructureError(
-                            f"edge {edge_key(*divmod(arc, n))} revisited "
-                            "during traversal")
-                    used.add(arc)
-                t = t_next
-                a, b = out[t]
-                h = b if a == h else a
-                if t == t0 and h == h0:
+    for t0 in range(n):
+        if met[t0]:
+            continue
+        met[t0] = 1
+        t, h = t0, out[t0][0]
+        h0, cycle = h, []
+        while True:
+            cycle += (t, h)
+            t = in_sum[h] - t
+            if met[t]:
+                if t == t0 and out_sum[t] - h == h0:
                     break
-            cycles.append(tuple(cycle))
-    return [normalize_cycle(c) for c in cycles]
+                raise AlternatingStructureError(
+                    f"edge {edge_key(t, h)} revisited during traversal")
+            met[t] = 1
+            h = out_sum[t] - h
+        cycles.append(normalize_cycle(tuple(cycle)))
+    return sorted(cycles)
 
 
 def normalize_cycle(cycle: tuple) -> tuple:
@@ -86,9 +92,10 @@ class AltStructure:
     q_t: int
     q_h: int
     jum: int
-    # vertex -> (tail cycle, tail position, head cycle, head position): the
-    # cycle on which the vertex is the tail of both arcs, and the other one
-    roles: dict = field(compare=False)
+    # indexed by vertex: (tail cycle, tail position, head cycle, head
+    # position), the cycle on which the vertex is the tail of both arcs,
+    # and the other one
+    roles: tuple = field(compare=False)
 
     @property
     def Q(self) -> frozenset:
@@ -130,36 +137,52 @@ class AltStructure:
         }
 
 
-def _vertex_roles(og: OrientedGraph, cycles) -> dict:
-    """vertex -> (tail cycle, tail position, head cycle, head position),
-    where the tail cycle is the one on which the vertex is the tail of
-    both incident arcs."""
-    arcs = og.arc_set
-    tails = set()
-    places: Dict[int, list] = {}  # vertex -> [(is head, cid, pos)]
+def _vertex_roles(og: OrientedGraph, cycles) -> tuple:
+    """Vertex-indexed lists (tail cycle, tail position, head cycle, head
+    position), the tail cycle being the one on which the vertex is the
+    tail of both incident arcs.  Checks that each cycle alternates and
+    that each vertex on the cycles is the tail on one and the head on
+    another; a vertex on none keeps cycle -1.  The first fault met, in
+    cycle and position order, is the one reported."""
+    n, inn = og.graph.n, og.in_neighbors
+    tail_cycle, tail_pos = [-1] * n, [0] * n
+    head_cycle, head_pos = [-1] * n, [0] * n
+    more_heads: Dict[int, list] = {}  # vertex -> cycles of its later heads
     for cid, cycle in enumerate(cycles):
-        last = len(cycle) - 1
-        for pos, v in enumerate(cycle):
-            is_head = (cycle[pos - 1], v) in arcs
-            if is_head != ((cycle[pos - last], v) in arcs):
+        ins = list(map(inn.__getitem__, cycle))
+        is_head = list(map(contains, ins, cycle[-1:] + cycle[:-1]))
+        next_is_head = list(map(contains, ins, cycle[1:] + cycle[:1]))
+        end = (len(cycle) if is_head == next_is_head
+               else list(map(eq, is_head, next_is_head)).index(False))
+        is_tail = list(map(not_, is_head[:end]))
+        for v, pos in zip(compress(cycle, is_tail),
+                          compress(range(end), is_tail)):
+            if tail_cycle[v] >= 0:
                 raise AlternatingStructureError(
-                    f"cycle {cid} is not alternating at vertex {v}")
-            if not is_head:
-                if v in tails:
-                    raise AlternatingStructureError(
-                        f"vertex {v} is a double tail")
-                tails.add(v)
-            places.setdefault(v, []).append((is_head, cid, pos))
-    roles = {}
-    for v, seen in places.items():
-        if len(seen) != 2 or seen[0][1] == seen[1][1]:
+                    f"vertex {v} is a double tail")
+            tail_cycle[v], tail_pos[v] = cid, pos
+        for v, pos in zip(compress(cycle, is_head),
+                          compress(range(end), is_head)):
+            if head_cycle[v] < 0:
+                head_cycle[v], head_pos[v] = cid, pos
+            else:
+                more_heads.setdefault(v, []).append(cid)
+        if end < len(cycle):
             raise AlternatingStructureError(
-                f"vertex {v} does not lie on exactly two alternating cycles")
-        (first_is_head, c0, p0), (second_is_head, c1, p1) = seen
-        if first_is_head and second_is_head:
-            raise AlternatingStructureError(f"vertex {v} is a double head")
-        roles[v] = (c1, p1, c0, p0) if first_is_head else (c0, p0, c1, p1)
-    return roles
+                f"cycle {cid} is not alternating at vertex {cycle[end]}")
+    if (more_heads or -1 in tail_cycle or -1 in head_cycle
+            or any(map(eq, tail_cycle, head_cycle))):
+        # in order of first appearance
+        for v in dict.fromkeys(chain.from_iterable(cycles)):
+            on = [c for c in (tail_cycle[v], head_cycle[v]) if c >= 0]
+            on += more_heads.get(v, [])
+            if len(on) != 2 or on[0] == on[1]:
+                raise AlternatingStructureError(
+                    f"vertex {v} does not lie on exactly two alternating "
+                    "cycles")
+            if tail_cycle[v] < 0:
+                raise AlternatingStructureError(f"vertex {v} is a double head")
+    return tail_cycle, tail_pos, head_cycle, head_pos
 
 
 def _pair(role: tuple) -> tuple:
@@ -168,41 +191,24 @@ def _pair(role: tuple) -> tuple:
     return (tc, hc) if tc < hc else (hc, tc)
 
 
-def _position(roles: dict, v: int, cid: int) -> int:
+def _position(roles: tuple, v: int, cid: int) -> int:
     """The position of v on cid, which must be one of v's two cycles."""
     tc, tp, hc, hp = roles[v]
     return tp if tc == cid else hp
 
 
-def _jump_at(cycles, roles, v, ell):
-    """(q_t, q_h) measured at base vertex v.
-
-    The attachment set of v's two cycles sits at every ell-th position of
-    each, so the vertices at attachment index +-1 from v on its tail cycle
-    lie on its head cycle too; q_t is the least |index| they have there,
-    and q_h is the same with the two cycles swapped.
-    """
-    tc, tp, hc, hp = roles[v]
-    return (_least_step(cycles[tc], tp, hc, hp, roles, ell, v),
-            _least_step(cycles[hc], hp, tc, tp, roles, ell, v))
-
-
-def _least_step(cycle, pos, other, other_pos, roles, ell, v):
-    """The least |attachment index| on cycle ``other``, relative to v at
-    ``other_pos``, of the two vertices ell positions from v on ``cycle``."""
-    length = len(cycle)
-    a = step = length // ell
-    for w in (cycle[(pos + ell) % length], cycle[pos - ell]):
-        wtc, wtp, whc, whp = roles[w]
-        if wtc == other:
-            i = (wtp - other_pos) % length // ell
-        elif whc == other:
-            i = (whp - other_pos) % length // ell
-        else:
-            raise AlternatingStructureError(
-                f"jump parameters undefined at vertex {v}")
-        step = min(step, i, a - i)
-    return step
+def _spacing_fault(cycles, roles: tuple, ell: int):
+    """Raise for the first vertex, in order of first appearance, at which
+    an attachment set is seen off its positions p0 + i*ell on one of its
+    two cycles."""
+    residues: Dict[tuple, int] = {}  # (cycle, other cycle) -> p0 mod ell
+    for v in dict.fromkeys(chain.from_iterable(cycles)):
+        tc, tp, hc, hp = roles[v]
+        for cid, pos, other in ((tc, tp, hc), (hc, hp, tc)):
+            if residues.setdefault((cid, other), pos % ell) != pos % ell:
+                c1, c2 = sorted((cid, other))
+                raise AlternatingStructureError(
+                    f"attachment set of cycles {c1},{c2} not ell-spaced on {cid}")
 
 
 def analyze(og: OrientedGraph) -> AltStructure:
@@ -211,6 +217,17 @@ def analyze(og: OrientedGraph) -> AltStructure:
     Verifies the structural invariants the theory presupposes (equal cycle
     lengths, attachment sets at positions i*ell, base-vertex independence of
     the jump pair at every vertex) and raises diagnostics otherwise.
+
+    One walk gives the cycles, and ``_vertex_roles`` their vertex-indexed
+    roles.  Read along a cycle, the list of each vertex's other cycle is
+    then ell-periodic exactly when every attachment set sits at positions
+    p0 + i*ell on it: a set of a vertices fills one residue class mod ell,
+    which has a positions.  So w = v +- ell on v's cycle lies on v's other
+    cycle too, and the jump steps are read at every position of every
+    cycle at once: from the position on the other cycle of each vertex,
+    the step to v + ell is (x(v + ell) - x(v)) / ell mod a, and q at v is
+    the least |step| to v + ell and from v - ell.  On a vertex's tail
+    cycle that is its q_t, on its head cycle its q_h.
     """
     cycles = alternating_cycles(og)
     lengths = {len(c) for c in cycles}
@@ -222,44 +239,63 @@ def analyze(og: OrientedGraph) -> AltStructure:
     if length % 2 != 0:
         raise AlternatingStructureError(f"odd alternating cycle length {length}")
     radius = length // 2
-    roles = _vertex_roles(og, cycles)
+    tail_cycle, tail_pos, head_cycle, head_pos = _vertex_roles(og, cycles)
+    roles = tuple(zip(tail_cycle, tail_pos, head_cycle, head_pos))
 
     # every vertex lies on exactly two cycles, so the intersection of two
-    # cycles is the set of vertices with that pair of cycles
-    att_sets: Dict[tuple, set] = {}
-    for v, role in roles.items():
-        att_sets.setdefault(_pair(role), set()).add(v)
-    sizes = {len(s) for s in att_sets.values()}
+    # cycles is the set of vertices with that pair of cycles, named here by
+    # its sum and product
+    cycle_sum = list(map(add, tail_cycle, head_cycle))
+    sizes = set(Counter(zip(cycle_sum, map(mul, tail_cycle,
+                                           head_cycle))).values())
     if len(sizes) != 1:
         raise AlternatingStructureError(
             f"attachment set sizes differ: {sorted(sizes)}")
     (a,) = sizes
-    if (2 * radius) % a != 0:
+    if length % a != 0:
         raise AlternatingStructureError(
-            f"attachment number {a} does not divide cycle length {2 * radius}")
-    ell = 2 * radius // a
+            f"attachment number {a} does not divide cycle length {length}")
+    ell = length // a
 
-    # Eq.-(1) spacing: on each of its two cycles an attachment set sits at
-    # positions p0 + i*ell
-    residues: Dict[tuple, int] = {}  # (cycle, other cycle) -> p0 mod ell
-    for v, (tc, tp, hc, hp) in roles.items():
-        for cid, pos, other in ((tc, tp, hc), (hc, hp, tc)):
-            if residues.setdefault((cid, other), pos % ell) != pos % ell:
-                c1, c2 = sorted((cid, other))
+    # half[d]: the least |i| with d = i*ell mod 2r, for d a multiple of ell
+    half = [min(d, length - d) // ell for d in range(length)]
+    pos_sum = list(map(add, tail_pos, head_pos))
+    attachment_sets, gaps_of = [], []
+    tail_jumps, head_jumps = set(), set()
+    for cid, cycle in enumerate(cycles):
+        other = list(map(cycle_sum.__getitem__, cycle))  # cid + other cycle
+        if other[ell:] + other[:ell] != other:  # the Eq.-(1) spacing
+            _spacing_fault(cycles, roles, ell)
+        attachment_sets += [frozenset(cycle[p::ell]) for p in range(ell)
+                            if other[p] > 2 * cid]
+        # each vertex's position on its other cycle, and the attachment
+        # steps between it and the vertex ell further on, up to sign
+        across = list(map(sub, map(pos_sum.__getitem__, cycle),
+                          range(length)))
+        gaps = list(map(half.__getitem__,
+                        map(sub, across[ell:] + across[:ell], across)))
+        gaps_of.append(gaps)
+        # the cycle alternates, so its tails are every other vertex
+        first = 0 if tail_cycle[cycle[0]] == cid else 1
+        before = gaps[-ell:] + gaps[:-ell]
+        tail_jumps.update(zip(gaps[first::2], before[first::2]))
+        head_jumps.update(zip(gaps[1 - first::2], before[1 - first::2]))
+
+    def jump(cid, pos):
+        return min(gaps_of[cid][pos], gaps_of[cid][pos - ell])
+
+    q_t = jump(tail_cycle[0], tail_pos[0])
+    q_h = jump(head_cycle[0], head_pos[0])
+    if ({min(p) for p in tail_jumps} != {q_t}
+            or {min(p) for p in head_jumps} != {q_h}):
+        for v, (tc, tp, hc, hp) in enumerate(roles):
+            if (jump(tc, tp), jump(hc, hp)) != (q_t, q_h):
                 raise AlternatingStructureError(
-                    f"attachment set of cycles {c1},{c2} not ell-spaced on {cid}")
-
-    attachment_sets = tuple(sorted(map(frozenset, att_sets.values()), key=min))
-    vertices = sorted(roles)
-    q_t, q_h = _jump_at(cycles, roles, vertices[0], ell)
-    for v in vertices[1:]:
-        if _jump_at(cycles, roles, v, ell) != (q_t, q_h):
-            raise AlternatingStructureError(
-                f"jump parameters differ at vertex {v}")
+                    f"jump parameters differ at vertex {v}")
     return AltStructure(
         cycles=tuple(cycles), radius=radius, attachment=a, ell=ell,
-        attachment_sets=attachment_sets, q_t=q_t, q_h=q_h,
-        jum=min(q_t, q_h), roles=roles)
+        attachment_sets=tuple(sorted(attachment_sets, key=min)),
+        q_t=q_t, q_h=q_h, jum=min(q_t, q_h), roles=roles)
 
 
 def min_r_jump(q: int, r: int) -> int:
@@ -285,6 +321,15 @@ def check_mult_lemma(s: AltStructure):
     cycles aligned so the first attachment steps match, the i-th attachment
     positions correspond under multiplication by q_t (resp. +-q_h).
 
+    One vertex is tested per ordered pair (tail cycle, head cycle), the
+    least.  The others with that pair are the vertices k*ell further along
+    the tail cycle, and if v passes with sign e, the one k*ell along sits
+    at e*k*q_t*ell along the head cycle, so its q_t identity is v's
+    shifted by k and holds with the same sign.  Passing both identities
+    makes q_t*q_h = +-1 mod a, so its q_h identity is v's shifted by
+    e*k*q_t and holds too.  So the least failing vertex is still the
+    witness.
+
     Returns (True, None), or (False, witness) -- the latter would contradict
     the theory and signals an implementation bug.
     """
@@ -292,8 +337,11 @@ def check_mult_lemma(s: AltStructure):
     if a == 1:
         return True, None
     length = 2 * s.radius
-    for v in sorted(s.roles):
-        tc, tp, hc, hp = s.roles[v]
+    tested = set()
+    for v, (tc, tp, hc, hp) in enumerate(s.roles):
+        if (tc, hc) in tested:
+            continue
+        tested.add((tc, hc))
         C, Cp = s.cycles[tc], s.cycles[hc]
         # reading both cycles backwards gives the same test, so only the
         # relative direction sign matters
@@ -317,14 +365,14 @@ def antipodal_tau(og: OrientedGraph, s: AltStructure) -> Optional[Permutation]:
         raise PreconditionFailedError(f"radius {s.radius} is odd")
     r = s.radius
     length = 2 * r
-    images = {}
-    for v, (tc, tp, hc, hp) in s.roles.items():
+    images = []
+    for tc, tp, hc, hp in s.roles:
         w1 = s.cycles[tc][(tp + r) % length]
         w2 = s.cycles[hc][(hp + r) % length]
         if w1 != w2:
             return None
-        images[v] = w1
-    tau = Permutation(tuple(images[v] for v in range(og.graph.n)))
+        images.append(w1)
+    tau = Permutation(tuple(images))
     if not is_automorphism(og.graph, tau):
         return None
     return tau

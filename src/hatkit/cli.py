@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from functools import cache
 from itertools import islice
 from pathlib import Path
 
@@ -202,7 +203,11 @@ def cmd_ingest(args):
     _emit_graph(g, args, group=grp)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then kept: each ``parse_args``
+    call fills a new namespace from the defaults, so calls share no
+    options."""
     parser = argparse.ArgumentParser(
         prog="hatkit",
         description="Construction and analysis of tetravalent graphs with "

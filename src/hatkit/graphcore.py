@@ -151,44 +151,53 @@ def arc_transitive(graph: Graph, group: GroupByGenerators) -> bool:
 @dataclass(frozen=True)
 class OrientedGraph:
     """A tetravalent graph plus a head choice per edge, with in-degree and
-    out-degree 2 at every vertex."""
+    out-degree 2 at every vertex, held as each vertex's sorted out- and
+    in-neighbours.  The constructor trusts its arguments;
+    ``orientation_from_heads`` and ``orientation_from_arcs`` check them."""
 
     graph: Graph
-    head_of: dict = field(compare=False)  # edge (u<v) -> head vertex
-    # set by __post_init__: each vertex's sorted out- and in-neighbours,
-    # and the chosen arcs (tail, head)
-    out_neighbors: tuple = field(init=False, compare=False, repr=False)
-    in_neighbors: tuple = field(init=False, compare=False, repr=False)
-    arc_set: frozenset = field(init=False, compare=False, repr=False)
+    out_neighbors: tuple = field(compare=False, repr=False)
+    in_neighbors: tuple = field(compare=False, repr=False)
 
-    def __post_init__(self):
-        g = self.graph
-        if not g.is_regular(4):
-            raise ValueError("oriented graphs must be tetravalent")
-        if self.head_of.keys() != g.edge_set:
-            raise ValueError("orientation must cover every edge exactly once")
-        out = [[] for _ in range(g.n)]
-        inn = [[] for _ in range(g.n)]
-        for (u, v), h in self.head_of.items():
-            if h == v:
-                t = u
-            elif h == u:
-                t = v
-            else:
-                raise ValueError(f"head {h} not an endpoint of {(u, v)}")
-            out[t].append(h)
-            inn[h].append(t)
-        if any(len(x) != 2 for x in out) or any(len(x) != 2 for x in inn):
-            raise ValueError("orientation is not in/out 2-regular")
-        object.__setattr__(self, "out_neighbors",
-                           tuple(map(tuple, map(sorted, out))))
-        object.__setattr__(self, "in_neighbors",
-                           tuple(map(tuple, map(sorted, inn))))
-        object.__setattr__(self, "arc_set", frozenset(
-            [(t, h) for t, hs in enumerate(out) for h in hs]))
+    @cached_property
+    def head_of(self) -> dict:
+        """edge (u<v) -> head vertex"""
+        return {(t, h) if t < h else (h, t): h
+                for t, hs in enumerate(self.out_neighbors) for h in hs}
+
+    @cached_property
+    def arc_set(self) -> frozenset:
+        """The chosen arcs (tail, head)."""
+        return frozenset([(t, h) for t, hs in enumerate(self.out_neighbors)
+                          for h in hs])
 
     def is_preserved_by(self, p: Permutation) -> bool:
         return all((p(t), p(h)) in self.arc_set for t, h in self.arc_set)
+
+
+def orientation_from_heads(g: Graph, head_of: dict) -> OrientedGraph:
+    """The orientation with the given head on each edge (u<v), checked to
+    cover every edge of a tetravalent graph exactly once with in- and
+    out-degree 2 everywhere."""
+    if not g.is_regular(4):
+        raise ValueError("oriented graphs must be tetravalent")
+    if head_of.keys() != g.edge_set:
+        raise ValueError("orientation must cover every edge exactly once")
+    out = [[] for _ in range(g.n)]
+    inn = [[] for _ in range(g.n)]
+    for (u, v), h in head_of.items():
+        if h == v:
+            t = u
+        elif h == u:
+            t = v
+        else:
+            raise ValueError(f"head {h} not an endpoint of {(u, v)}")
+        out[t].append(h)
+        inn[h].append(t)
+    if any(len(x) != 2 for x in out) or any(len(x) != 2 for x in inn):
+        raise ValueError("orientation is not in/out 2-regular")
+    return OrientedGraph(g, tuple(map(tuple, map(sorted, out))),
+                         tuple(map(tuple, map(sorted, inn))))
 
 
 def orientation_from_arcs(g: Graph, arcs) -> OrientedGraph:
@@ -198,7 +207,15 @@ def orientation_from_arcs(g: Graph, arcs) -> OrientedGraph:
         if key in head_of:
             raise ValueError(f"edge {key} oriented twice")
         head_of[key] = h
-    return OrientedGraph(g, head_of)
+    return orientation_from_heads(g, head_of)
+
+
+def _first_non_automorphism(graph: Graph, group: GroupByGenerators) -> None:
+    """Raise NotAutomorphismError for the least generator that is not an
+    automorphism of the graph, if there is one."""
+    for i, gen in enumerate(group.generators):
+        if not is_automorphism(graph, gen):
+            raise NotAutomorphismError(i)
 
 
 def certify_hat(graph: Graph, group: GroupByGenerators) -> OrientedGraph:
@@ -206,30 +223,66 @@ def certify_hat(graph: Graph, group: GroupByGenerators) -> OrientedGraph:
     return the induced orientation D: the arc orbit containing the
     lexicographically least arc (t, h).
 
+    D is walked once on the generators' image tuples, and each vertex's
+    out- and in-neighbours in D are collected as its arcs are found.
+
     D alone decides all three transitivities.  Its tails are the vertex
     orbit of t, so the group is vertex-transitive exactly when every
     vertex is a tail in D.  Its edges are the edge orbit of {t, h}, so the
-    group is edge-transitive exactly when they cover E.  Once they do, D
-    holds both arcs of one edge exactly when it holds both arcs of every
-    edge, that is, when |D| = 2|E|; otherwise it holds one arc per edge.
+    group is edge-transitive exactly when they cover E.  Reversing an arc
+    commutes with the action, so D holds the reverse of one of its arcs
+    exactly when it holds the reverse of every one: either it holds both
+    arcs of each edge it meets, and covers |D|/2 edges, or one arc of
+    each, and covers |D|.  Once it covers E, the group is arc-transitive
+    exactly in the first case.
 
-    Generators are verified to be automorphisms rather than trusted.
+    Generators are verified to be automorphisms rather than trusted.  The
+    walk checks that every generator image of an arc of D is an edge; the
+    arcs of D are edges, since the least arc is one and every new arc is
+    such an image.  Once D covers every edge, this shows that each
+    generator maps every edge to an edge, so, being a bijection of the
+    vertices, is an automorphism.  Only when a generator has the wrong
+    degree, the walk meets a non-edge or D misses an edge is each
+    generator checked against every edge, so that the least
+    non-automorphism is still reported before either transitivity error.
+
     Raises NotAutomorphismError / NotVertexTransitiveError /
     NotEdgeTransitiveError / ArcTransitiveError, checked in that order.
     """
     if not graph.is_regular(4):
         raise ValueError("half-arc-transitivity analysis needs a tetravalent graph")
     graph.require_connected()
-    for i, gen in enumerate(group.generators):
-        if not is_automorphism(graph, gen):
-            raise NotAutomorphismError(i)
+    n, adj = graph.n, graph.adjacency
+    gens = [gen.images for gen in group.generators]
+    if any(len(img) != n for img in gens):
+        _first_non_automorphism(graph, group)
 
-    orbit = arc_orbit(graph, group)
-    if len({t for t, _h in orbit}) != graph.n:
+    out = [[] for _ in range(n)]
+    inn = [[] for _ in range(n)]
+    t0, h0 = graph.edges[0]
+    out[t0].append(h0)
+    inn[h0].append(t0)
+    orbit = [(t0, h0)]
+    for t, h in orbit:
+        for img in gens:
+            a, b = img[t], img[h]
+            if b not in out[a]:
+                if b not in adj[a]:
+                    _first_non_automorphism(graph, group)
+                out[a].append(b)
+                inn[b].append(a)
+                orbit.append((a, b))
+
+    both_arcs = t0 in out[h0]
+    covered = len(orbit) // 2 if both_arcs else len(orbit)
+    if covered != len(graph.edges):
+        _first_non_automorphism(graph, group)
+    if not all(out):
         raise NotVertexTransitiveError("group is not transitive on vertices")
-    head_of = {(t, h) if t < h else (h, t): h for t, h in orbit}
-    if len(head_of) != len(graph.edges):
+    if covered != len(graph.edges):
         raise NotEdgeTransitiveError("group is not transitive on edges")
-    if len(orbit) == 2 * len(graph.edges):
+    if both_arcs:
         raise ArcTransitiveError("group acts transitively on arcs")
-    return OrientedGraph(graph, head_of)
+    return OrientedGraph(
+        graph, tuple([(a, b) if a < b else (b, a) for a, b in out]),
+        tuple([(a, b) if a < b else (b, a) for a, b in inn]))

@@ -58,18 +58,7 @@ class Permutation:
         return all(y == x for x, y in enumerate(self.images))
 
     def order(self) -> int:
-        """The lcm of the cycle lengths."""
-        seen = [False] * len(self.images)
-        out = 1
-        for x in range(len(self.images)):
-            length = 0
-            while not seen[x]:
-                seen[x] = True
-                x = self.images[x]
-                length += 1
-            if length:
-                out = lcm(out, length)
-        return out
+        return _order(self.images)
 
     def fixed_points(self) -> list:
         return [x for x, y in enumerate(self.images) if x == y]
@@ -91,6 +80,21 @@ def _mul(p: tuple, q: tuple) -> tuple:
     with a non-identity generator, so the degree is at least 2 and
     ``itemgetter`` returns a tuple."""
     return itemgetter(*p)(q)
+
+
+def _order(p: tuple) -> int:
+    """The lcm of the cycle lengths of the image tuple p."""
+    seen = [False] * len(p)
+    out = 1
+    for x in range(len(p)):
+        length = 0
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            length += 1
+        if length:
+            out = lcm(out, length)
+    return out
 
 
 def _inverse(p: tuple) -> tuple:
@@ -499,8 +503,8 @@ class StructureTag:
         return self.param
 
 
-def _commute(gens: Sequence[Permutation]) -> bool:
-    return all(p * q == q * p for p, q in combinations(gens, 2))
+def _commute(gens: Sequence[tuple]) -> bool:
+    return all(_mul(p, q) == _mul(q, p) for p, q in combinations(gens, 2))
 
 
 def group_structure(g: GroupByGenerators) -> StructureTag:
@@ -526,24 +530,30 @@ def group_structure(g: GroupByGenerators) -> StructureTag:
     dihedral group (n >= 6) the reflections are the non-central
     involutions, so the flips are the reflection generators and rot is a
     group of rotations that with f generates the group: all rotations.
+
+    Products are taken on the generators' image tuples, which are valid
+    permutations of one degree (at least 2 once the group is not
+    trivial), so none is checked again.
     """
     n = g.order()
     if n == 1:
         return StructureTag("Trivial")
-    gens = g.generators
+    gens = [p.images for p in g.generators]
     if _commute(gens):
-        exponent = lcm(*(p.order() for p in gens))
+        exponent = lcm(*map(_order, gens))
         if exponent == n:
             return StructureTag("Cyclic", n)
         if exponent == 2:
             return StructureTag("ElemAbelian2", n.bit_length() - 1)
         return StructureTag("Other", n)
     flips = [t for t in gens
-             if t.order() == 2 and any(t * p != p * t for p in gens)]
+             if _order(t) == 2 and any(_mul(t, p) != _mul(p, t) for p in gens)]
     if flips:
         f = flips[0]
-        rot = [p for p in gens if p not in flips] + [f * t for t in flips[1:]]
-        if (_commute(rot) and all(f * c * f == c.inverse() for c in rot)
-                and 2 * lcm(*(c.order() for c in rot)) == n):
+        rot = [p for p in gens if p not in flips] + [_mul(f, t)
+                                                     for t in flips[1:]]
+        if (_commute(rot)
+                and all(_mul(_mul(f, c), f) == _inverse(c) for c in rot)
+                and 2 * lcm(*map(_order, rot)) == n):
             return StructureTag("Dihedral", n)
     return StructureTag("Other", n)

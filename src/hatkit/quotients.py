@@ -132,7 +132,7 @@ def kernels(group: GroupByGenerators, s: AltStructure) -> dict:
     the whole group.
     """
     tails = [set() for _ in s.cycles]
-    for v, role in s.roles.items():
+    for v, role in enumerate(s.roles):
         tails[role[0]].add(v)
     partitions = [tails, s.attachment_sets]
     if s.ell % 2:

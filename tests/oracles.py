@@ -1,7 +1,8 @@
 """Oracles shared by the tests, written independently of the library's
 stabilizer chains, block actions, jump-pair reading, splitter-queue
-refinement, doubled-graph swapper search and alternating-cycle traversal,
-and the scanning form of that refinement, kept as its reference."""
+refinement, doubled-graph swapper search, arc-orbit walk and
+alternating-cycle traversal, and the scanning form of that refinement and
+the per-vertex multiplication lemma check, kept as their references."""
 
 from collections import deque
 
@@ -11,8 +12,9 @@ from hatkit.errors import (
     NotAutomorphismError,
     NotEdgeTransitiveError,
     NotVertexTransitiveError,
+    UnequalCycleLengthsError,
 )
-from hatkit.graphcore import OrientedGraph, edge_key
+from hatkit.graphcore import edge_key, orientation_from_heads
 from hatkit.perm import Permutation
 
 
@@ -30,8 +32,8 @@ def arc_act(a: tuple, p) -> tuple:
 def certified_heads(graph, group) -> dict:
     """The head_of of the orientation that certifies a HAT action: the
     orbit of the least arc, closed under the generators arc by arc, one
-    head per edge.  Raises what ``certify_hat`` raises, checked in the same
-    order."""
+    head per edge.  Raises what ``certify_hat`` raises, with the same
+    messages, checked in the same order."""
     if not graph.is_regular(4):
         raise ValueError("not tetravalent")
     graph.require_connected()
@@ -48,12 +50,12 @@ def certified_heads(graph, group) -> dict:
                 orbit.add(image)
                 frontier.append(image)
     if len({t for t, _h in orbit}) != graph.n:
-        raise NotVertexTransitiveError("not vertex-transitive")
+        raise NotVertexTransitiveError("group is not transitive on vertices")
     head_of = {edge_key(t, h): h for t, h in orbit}
     if len(head_of) != len(graph.edges):
-        raise NotEdgeTransitiveError("not edge-transitive")
+        raise NotEdgeTransitiveError("group is not transitive on edges")
     if len(orbit) == 2 * len(graph.edges):
-        raise ArcTransitiveError("arc-transitive")
+        raise ArcTransitiveError("group acts transitively on arcs")
     return head_of
 
 
@@ -62,7 +64,7 @@ def reverse_orientation(og):
     flipped = {}
     for (u, v), h in og.head_of.items():
         flipped[(u, v)] = u if h == v else v
-    return OrientedGraph(og.graph, flipped)
+    return orientation_from_heads(og.graph, flipped)
 
 
 def alternating_cycles(og) -> list:
@@ -140,6 +142,77 @@ def vertex_roles(og, cycles) -> dict:
             raise AlternatingStructureError(f"vertex {v} is a double head")
         roles[v] = (tc, tp, hc, hp)
     return roles
+
+
+def analyze(og):
+    """(cycles, roles, attachment sets, q_t, q_h) of ``og`` from the lookup
+    oracles above: the cycles and roles by ``alternating_cycles`` and
+    ``vertex_roles``, the attachment sets as the vertices sharing a pair
+    of cycles, their spacing as positions congruent mod ell, met in order
+    of first appearance, and the jump pair by ``jump_at`` at every vertex.
+    Raises what ``alternating.analyze`` raises, with the same messages,
+    checked in the same order."""
+    cycles = alternating_cycles(og)
+    lengths = {len(c) for c in cycles}
+    if len(lengths) != 1:
+        raise UnequalCycleLengthsError(
+            f"alternating cycle lengths {sorted(lengths)}; the orientation is "
+            "not induced by any half-arc-transitive action")
+    (length,) = lengths
+    if length % 2 != 0:
+        raise AlternatingStructureError(f"odd alternating cycle length {length}")
+    roles = vertex_roles(og, cycles)
+    sets = {}
+    for v, (tc, _tp, hc, _hp) in roles.items():
+        sets.setdefault(frozenset({tc, hc}), set()).add(v)
+    sizes = {len(s) for s in sets.values()}
+    if len(sizes) != 1:
+        raise AlternatingStructureError(
+            f"attachment set sizes differ: {sorted(sizes)}")
+    (a,) = sizes
+    if length % a != 0:
+        raise AlternatingStructureError(
+            f"attachment number {a} does not divide cycle length {length}")
+    ell = length // a
+    residues = {}
+    for v, (tc, tp, hc, hp) in roles.items():
+        for cid, pos, other in ((tc, tp, hc), (hc, hp, tc)):
+            if residues.setdefault((cid, other), pos % ell) != pos % ell:
+                c1, c2 = sorted((cid, other))
+                raise AlternatingStructureError(
+                    f"attachment set of cycles {c1},{c2} not ell-spaced on {cid}")
+    vertices = sorted(roles)
+    q = jump_at(og, cycles, vertices[0], ell)
+    for v in vertices[1:]:
+        if jump_at(og, cycles, v, ell) != q:
+            raise AlternatingStructureError(
+                f"jump parameters differ at vertex {v}")
+    return (cycles, roles, sorted(map(frozenset, sets.values()), key=min),
+            *q)
+
+
+def mult_lemma(og, s):
+    """``check_mult_lemma`` tested at every vertex in turn: the i-th
+    attachment positions from v along its tail cycle are those of index
+    +-i*q_t from v along its head cycle, and dually with q_h.  Each
+    vertex's position on a cycle is looked up on the cycle, its tail cycle
+    read off the orientation."""
+    a, ell = s.attachment, s.ell
+    if a == 1:
+        return True, None
+    length = 2 * s.radius
+    for v in range(og.graph.n):
+        on = [(c, c.index(v)) for c in s.cycles if v in c]
+        (C, tp), (Cp, hp) = sorted(
+            on, key=lambda cp: og.head_of[edge_key(v, cp[0][cp[1] - 1])] == v)
+        for X, x0, Y, y0, q, which in ((C, tp, Cp, hp, s.q_t, "q_t"),
+                                       (Cp, hp, C, tp, s.q_h, "q_h")):
+            if not any(all(X[(x0 + i * ell) % length]
+                           == Y[(y0 + sign * i * q * ell) % length]
+                           for i in range(a))
+                       for sign in (1, -1)):
+                return False, {"vertex": v, "which": which}
+    return True, None
 
 
 def closure(group) -> frozenset:

@@ -1,6 +1,9 @@
 import dataclasses
+import random
 
+import networkx as nx
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hatkit.alternating import (
     _vertex_roles,
@@ -27,20 +30,22 @@ from hatkit.constructions import (
 )
 from hatkit.errors import (
     AlternatingStructureError,
+    HatkitError,
     NotCyclePreservingError,
     PreconditionFailedError,
+    UnequalCycleLengthsError,
 )
 from hatkit.graphcore import (
-    OrientedGraph,
     build_graph,
     certify_hat,
     edge_key,
     orientation_from_arcs,
+    orientation_from_heads,
 )
-from hatkit.harness import instance_pool
+from hatkit.harness import GridConfig, instance_pool, param_grid
 from hatkit.quotients import kernels
 import oracles
-from oracles import jump_at, reverse_orientation
+from oracles import certified_heads, jump_at, reverse_orientation
 from test_harness import SMALL
 
 
@@ -74,6 +79,34 @@ def loose_orientation(k):
     from hatkit.graphcore import build_graph
     edges = sorted({tuple(sorted(a)) for a in arcs})
     return orientation_from_arcs(build_graph(2 * k, edges), arcs)
+
+
+def three_cycles(A, orders):
+    """Three alternating cycles: cycle i alternates the double heads
+    A[i-1], in the order orders[i], with the double tails A[i], in order;
+    None when two cycles share an edge."""
+    head_of = {}
+    for i in range(3):
+        heads = [A[i - 1][j] for j in orders[i]]
+        cycle = [v for j in range(len(A[i])) for v in (heads[j], A[i][j])]
+        for j, u in enumerate(cycle):
+            w = cycle[(j + 1) % len(cycle)]
+            if edge_key(u, w) in head_of:
+                return None
+            head_of[edge_key(u, w)] = u if u in heads else w
+    return orientation_from_heads(build_graph(sum(map(len, A)), head_of),
+                                  head_of)
+
+
+def jump_differs_orientation():
+    """Three alternating 10-cycles: A[i] runs along cycle i+1 in its order
+    on cycle i multiplied by mult[i] mod 5.  The jump pair is (2, 2) on
+    A[1] and A[2] but (1, 1) on A[0], which avoids vertices 0, 3, 6 and
+    9, the only ones a three-vertex sample saw."""
+    A = ((1, 2, 4, 5, 7), (0, 3, 6, 8, 10), (9, 11, 12, 13, 14))
+    mult = (1, 2, 2)
+    return three_cycles(A, [[mult[i - 1] * j % 5 for j in range(5)]
+                            for i in range(3)])
 
 
 class TestAlternatingCycles:
@@ -117,8 +150,8 @@ class TestAlternatingCycles:
         for og in orientations:
             cycles = alternating_cycles(og)
             assert cycles == oracles.alternating_cycles(og)
-            assert (list(_vertex_roles(og, cycles).items())
-                    == list(oracles.vertex_roles(og, cycles).items()))
+            assert (dict(enumerate(zip(*_vertex_roles(og, cycles))))
+                    == oracles.vertex_roles(og, cycles))
 
     def test_role_checks_match_lookup_oracle(self):
         n = 9
@@ -203,21 +236,7 @@ class TestAnalyze:
         assert union == set(range(g.n))
 
     def test_jump_pair_checked_at_every_vertex(self):
-        # Three alternating 10-cycles: cycle i alternates the double heads
-        # A[i-1] with the double tails A[i], and A[i] runs along cycle i+1
-        # in its order on cycle i multiplied by mult[i] mod 5.  The jump
-        # pair is (2, 2) on A[1] and A[2] but (1, 1) on A[0], which avoids
-        # vertices 0, 3, 6 and 9, the only ones a three-vertex sample saw.
-        A = ((1, 2, 4, 5, 7), (0, 3, 6, 8, 10), (9, 11, 12, 13, 14))
-        mult = (1, 2, 2)
-        head_of = {}
-        for i in range(3):
-            heads = [A[i - 1][mult[i - 1] * j % 5] for j in range(5)]
-            cycle = [v for j in range(5) for v in (heads[j], A[i][j])]
-            for j, u in enumerate(cycle):
-                w = cycle[(j + 1) % 10]
-                head_of[edge_key(u, w)] = u if u in heads else w
-        og = OrientedGraph(build_graph(15, head_of), head_of)
+        og = jump_differs_orientation()
         with pytest.raises(AlternatingStructureError,
                            match="jump parameters differ at vertex 1"):
             analyze(og)
@@ -363,3 +382,166 @@ class TestBuildRho:
         s = analyze(og)
         with pytest.raises(PreconditionFailedError):
             build_rho(og, s, grp.identity)
+
+
+def euler_orientation(n, seed):
+    """A random 4-regular graph oriented along an Euler circuit, so in- and
+    out-degree 2 everywhere; None when the graph drawn is disconnected."""
+    nxg = nx.random_regular_graph(4, n, seed=seed)
+    if not nx.is_connected(nxg):
+        return None
+    g = build_graph(n, [edge_key(u, v) for u, v in nxg.edges()])
+    return orientation_from_arcs(g, list(nx.eulerian_circuit(nxg)))
+
+
+def unspaced_orientation(rng):
+    """Three alternating 8-cycles on 12 vertices, each two meeting in four
+    vertices, two of them tails on either cycle, each cycle's tails and
+    heads in random order, so that the attachment sets need not be
+    ell-spaced.  Orders in which two cycles share an edge are drawn
+    again."""
+    while True:
+        tail_on, head_on = {}, {}
+        for (i, j), block in (((0, 1), [0, 1, 2, 3]), ((1, 2), [4, 5, 6, 7]),
+                              ((0, 2), [8, 9, 10, 11])):
+            rng.shuffle(block)
+            for k, v in enumerate(block):
+                tail_on[v], head_on[v] = (i, j) if k < 2 else (j, i)
+        head_of = {}
+        for c in range(3):
+            tails = [v for v in range(12) if tail_on[v] == c]
+            heads = [v for v in range(12) if head_on[v] == c]
+            rng.shuffle(tails)
+            rng.shuffle(heads)
+            for k in range(4):
+                for h in (heads[k], heads[k - 1]):
+                    head_of[edge_key(tails[k], h)] = h
+        if len(head_of) == 24:
+            return orientation_from_heads(build_graph(12, head_of), head_of)
+
+
+def outcome(fn, og):
+    try:
+        return fn(og)
+    except HatkitError as exc:
+        return type(exc), str(exc)
+
+
+def analyzed_like_oracle(og):
+    s = analyze(og)
+    return (list(s.cycles), dict(enumerate(s.roles)),
+            list(s.attachment_sets), s.q_t, s.q_h)
+
+
+class TestPrefixAgainstOracles:
+    """Certify and analyze against the lookup, orbit and search oracles:
+    the same head_of, cycles, roles, attachment sets and jump pair, or the
+    same error with the same message."""
+
+    def check(self, og):
+        got = outcome(analyzed_like_oracle, og)
+        assert got == outcome(oracles.analyze, og)
+        return got
+
+    def test_pool_reversed_and_loose(self):
+        orientations = [loose_orientation(7)]
+        for _key, rec in instance_pool(SMALL):
+            og = rec.orientation
+            assert og.head_of == certified_heads(rec.graph, rec.group)
+            orientations += [og, reverse_orientation(og)]
+        for og in orientations:
+            assert len(self.check(og)) == 5  # an analysis, not an error
+
+    @given(st.sampled_from(param_grid(GridConfig())), st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_drawn_pool_parameters(self, p, reverse):
+        g, grp = (build_xo if isinstance(p, XoParams) else build_xe)(p)
+        og = certify_hat(g, grp)
+        assert og.head_of == certified_heads(g, grp)
+        self.check(reverse_orientation(og) if reverse else og)
+
+    @given(st.integers(5, 14), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_euler_orientations(self, n, seed):
+        og = euler_orientation(n, seed)
+        assume(og is not None)
+        self.check(og)
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_unspaced_attachment_sets(self, seed):
+        self.check(unspaced_orientation(random.Random(seed)))
+
+    @given(st.sampled_from((5, 7)), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_three_cycle_orientations(self, a, seed):
+        rng = random.Random(seed)
+        og = three_cycles([range(i * a, (i + 1) * a) for i in range(3)],
+                          [rng.sample(range(a), a) for _ in range(3)])
+        assume(og is not None)
+        self.check(og)
+
+    def test_each_error_reached(self):
+        n = 9
+        circulant = orientation_from_arcs(
+            build_circulant(n, {1, -1, 2, -2}),
+            [(x, (x + d) % n) for x in range(n) for d in (1, 2)])
+        unequal = next(og for seed in range(50)
+                       if (og := euler_orientation(10, seed)) is not None
+                       and outcome(analyze, og)[0] is UnequalCycleLengthsError)
+        # on each set, steps of +-2 one way and of 2 or 3 the other way, so
+        # that one of q_t and q_h is the same at every vertex
+        sigma = (0, 2, 4, 1, 6, 3, 5)
+        blocks = [range(i * 7, (i + 1) * 7) for i in range(3)]
+        one_sided = [three_cycles(blocks, [order] * 3) for order in (
+            sigma, sorted(range(7), key=sigma.__getitem__))]
+        messages = [self.check(og)[1] for og in (
+            circulant, unequal, unspaced_orientation(random.Random(1)),
+            jump_differs_orientation(), *one_sided)]
+        assert messages[0] == ("vertex 0 does not lie on exactly two "
+                               "alternating cycles")
+        assert messages[1].startswith("alternating cycle lengths [")
+        assert "not ell-spaced" in messages[2]
+        assert messages[3:] == ["jump parameters differ at vertex 1"] * 3
+        # steps of 1 and 2 to the next vertex along, but 1 to the nearer
+        # of the two neighbours everywhere
+        near = three_cycles(blocks, [(0, 1, 2, 3, 4, 6, 5)] * 3)
+        assert self.check(near)[3:] == (1, 1)
+
+    def test_mult_lemma_witness_matches_per_vertex_oracle(self):
+        seen = set()
+        for _key, rec in instance_pool(SMALL):
+            og = rec.orientation
+            s = analyze(og)
+            for field in ("q_t", "q_h"):
+                for q in range(max(s.attachment, 2)):
+                    wrong = dataclasses.replace(s, **{field: q})
+                    got = check_mult_lemma(wrong)
+                    assert got == oracles.mult_lemma(og, wrong), (_key, field, q)
+                    seen.add(got[0])
+        assert seen == {True, False}
+
+    def test_mult_lemma_witness_beyond_vertex_zero(self):
+        """On three-cycle orientations with no transitive group the
+        attachment classes differ, so the witness need not be vertex 0."""
+        rng = random.Random(3)
+        structures, witnesses = 0, set()
+        while structures < 20:
+            a = rng.choice((5, 7))
+            og = three_cycles([range(i * a, (i + 1) * a) for i in range(3)],
+                              [rng.sample(range(a), a) for _ in range(3)])
+            if og is None:
+                continue
+            try:
+                s = analyze(og)
+            except AlternatingStructureError:
+                continue
+            structures += 1
+            for field in ("q_t", "q_h"):
+                for q in range(a):
+                    wrong = dataclasses.replace(s, **{field: q})
+                    got = check_mult_lemma(wrong)
+                    assert got == oracles.mult_lemma(og, wrong)
+                    if not got[0]:
+                        witnesses.add(got[1]["vertex"])
+        assert witnesses - {0}

@@ -14,12 +14,12 @@ from hatkit.errors import (
     NotVertexTransitiveError,
 )
 from hatkit.graphcore import (
-    OrientedGraph,
     build_graph,
     certify_hat,
     edge_key,
     is_automorphism,
     orientation_from_arcs,
+    orientation_from_heads,
 )
 from hatkit.harness import instance_pool
 from hatkit.perm import GroupByGenerators, Permutation
@@ -113,24 +113,24 @@ class TestOrientedGraph:
         g = build_circulant(7, {1, -1, 2, -2})
         # every edge pointed at its larger endpoint: not in/out 2-regular
         with pytest.raises(ValueError):
-            OrientedGraph(g, {e: max(e) for e in g.edges})
+            orientation_from_heads(g, {e: max(e) for e in g.edges})
 
     def test_non_tetravalent_rejected(self):
         g = cycle_graph(4)
         with pytest.raises(ValueError):
-            OrientedGraph(g, {e: max(e) for e in g.edges})
+            orientation_from_heads(g, {e: max(e) for e in g.edges})
 
     def test_head_off_its_edge_rejected(self):
         og = circulant_orientation(7)
         with pytest.raises(ValueError, match="head 3 not an endpoint"):
-            OrientedGraph(og.graph, {**og.head_of, (0, 1): 3})
+            orientation_from_heads(og.graph, {**og.head_of, (0, 1): 3})
 
     def test_uncovered_edge_rejected(self):
         og = circulant_orientation(7)
         head_of = dict(og.head_of)
         del head_of[(0, 1)]
         with pytest.raises(ValueError, match="cover every edge"):
-            OrientedGraph(og.graph, head_of)
+            orientation_from_heads(og.graph, head_of)
 
     def test_reverse_is_involutive(self):
         og = circulant_orientation(9)
@@ -191,6 +191,58 @@ class TestCertifyHat:
         og = certify_hat(build_wreath(6), wreath_hat_group(6))
         covered = {edge_key(t, h) for t, h in og.arc_set}
         assert covered == og.graph.edge_set
+
+    def test_non_automorphism_reported_before_transitivity(self):
+        """A generator that is no automorphism is named, the least such,
+        whether the walk meets a non-edge or the orbit misses an edge,
+        also when the group is not transitive either, with the oracle's
+        class and message; and each transitivity error keeps its message."""
+        g = build_circulant(8, {1, -1, 2, -2})
+        shift = Permutation.from_mapping(8, lambda x: (x + 1) % 8)
+        flip = Permutation.from_mapping(8, lambda x: (-x) % 8)
+        swap = Permutation((0, 1, 2, 3, 5, 4, 6, 7))  # moves edge 5-7 to 4-7
+        cases = {
+            (swap,): "generator 0 is not an automorphism",  # orbit {(0, 1)}
+            (flip, swap): "generator 1 is not an automorphism",
+            (shift, swap): "generator 1 is not an automorphism",
+            (swap, shift): "generator 0 is not an automorphism",
+            (swap, shift, Permutation((1, 0, 2, 3, 4, 5, 6, 7))):
+                "generator 0 is not an automorphism",
+            (Permutation.identity(9),): "generator 0 is not an automorphism",
+            (flip,): "group is not transitive on vertices",
+            (shift,): "group is not transitive on edges",
+            (shift, flip): "group is not transitive on edges",
+        }
+        for gens, message in cases.items():
+            grp = GroupByGenerators(gens, degree=gens[0].degree)
+            with pytest.raises(HatkitError, match=message) as got:
+                certify_hat(g, grp)
+            with pytest.raises(HatkitError) as want:
+                certified_heads(g, grp)
+            assert type(got.value) is type(want.value)
+            assert str(got.value) == str(want.value)
+
+    def test_conjugated_action_on_the_wrong_graph(self):
+        """Conjugating a half-arc-transitive group by a non-automorphism
+        that fixes the least arc gives an arc orbit of |E| arcs, one per
+        edge of the image graph, not all of them edges: only the walk's
+        edge check tells."""
+        checked = 0
+        for key, rec in instance_pool(SMALL):
+            g = rec.graph
+            x, y = [v for v in range(g.n) if v not in g.edges[0]][:2]
+            pi = Permutation.from_mapping(g.n, lambda v: {x: y, y: x}.get(v, v))
+            if automorphism_by_definition(g, pi):
+                continue
+            grp = GroupByGenerators(tuple(pi * p * pi
+                                          for p in rec.group.generators))
+            with pytest.raises(NotAutomorphismError) as got:
+                certify_hat(g, grp)
+            with pytest.raises(NotAutomorphismError) as want:
+                certified_heads(g, grp)
+            assert str(got.value) == str(want.value), key
+            checked += 1
+        assert checked
 
     def test_matches_orbit_oracle(self):
         """certify_hat gives the head_of of the least arc's orbit on every

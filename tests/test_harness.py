@@ -490,6 +490,45 @@ class TestCli:
         assert row["detail"]["error"] == "ParseError"
         assert got["results"] == want["results"]
 
+    def test_successive_calls_share_no_options(self, tmp_path, monkeypatch,
+                                               capsys):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser  # built once per process
+        first = parser.parse_args(["analyze", "--no-group", "--aut", "-o",
+                                   "x.json", "xo:3,9,2"])
+        assert first.no_group and first.aut and first.output == "x.json"
+        again = parser.parse_args(["analyze", "xo:3,9,2"])
+        assert (again.no_group, again.aut, again.output) == (False, False,
+                                                             None)
+        assert parser.parse_args(["verify", "--ingest", "a.txt"]).ingest == [
+            "a.txt"]
+        assert parser.parse_args(["verify"]).ingest is None
+
+        out = tmp_path / "report.json"
+        assert cli.main(["analyze", "--no-group", "xo:3,9,2", "-o",
+                         str(out)]) == 0
+        assert json.loads(out.read_text())["mode"] == "graph-only"
+        assert capsys.readouterr().out == ""
+        assert cli.main(["analyze", "xo:3,9,2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "mode" not in doc and doc["jum"] == 2
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "--no-such-flag", "xo:3,9,2"])
+        assert exc.value.code == 2
+        assert cli.main(["kernels", "xo:3,9,2"]) == 0
+        assert json.loads(capsys.readouterr().out)["case"] == "iii"
+
+        monkeypatch.setattr(harness, "GridConfig", lambda extra_files: (
+            GridConfig(**{**vars(SMALL), "extra_files": extra_files})))
+        with pytest.raises(SystemExit):
+            cli.main(["verify", "psi", "--ingest", str(tmp_path / "missing"),
+                      "-o", str(tmp_path / "mixed.json")])
+        clean = tmp_path / "clean.json"
+        assert cli.main(["verify", "psi", "-o", str(clean)]) == 0
+        (report,) = json.loads(clean.read_text())
+        assert not any(row["key"].startswith("file(")
+                       for row in report["results"])
+
     def test_altgraph_dot(self, capsys):
         assert cli.main(["altgraph", "xo:3,9,2", "--format", "dot"]) == 0
         assert "--" in capsys.readouterr().out

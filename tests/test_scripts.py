@@ -43,8 +43,24 @@ def test_stage_times(monkeypatch, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["instances"] == sum(1 for _ in stage_times.instance_pool(SMALL))
     assert set(doc["stages_s"]) == {"construct", "certify", "analyze",
-                                    "kernels"}
+                                    "kernels", "mult-lemma"}
     assert all(t > 0 for t in doc["stages_s"].values())
+
+    # this checkout on both sides, each child walking the SMALL pool
+    bench = tmp_path / "bench.json"
+    bench.write_text(json.dumps({"other section": {}}))
+    stage_times.main(["--parent", str(SCRIPTS.parent), "--pairs", "2",
+                      "-o", str(bench)])
+    doc_pairs = json.loads(bench.read_text())
+    assert "other section" in doc_pairs
+    section = doc_pairs["stage times"]
+    assert [run["side"] for run in section["runs"]] == [
+        "parent", "change", "change", "parent"]
+    assert all(run["instances"] == doc["instances"]
+               for run in section["runs"])
+    assert set(section["change_over_parent"]) == {*doc["stages_s"],
+                                                  "prefix_s"}
+    assert all(ratio > 0 for ratio in section["change_over_parent"].values())
 
 
 def test_bench_pairs_alternates_and_counts_wins(tmp_path):
