@@ -50,7 +50,7 @@ from typing import Optional, Tuple
 
 from .errors import SearchBudgetExceededError
 from .graphcore import (Graph, OrientedGraph, arc_transitive, build_graph,
-                        is_automorphism)
+                        carries, is_automorphism)
 from .perm import GroupByGenerators, Permutation
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -382,9 +382,9 @@ class _Search:
             self.first_lab = lab
             self.best_cert, self.best_labeling = self._certificate(pos), pos[:]
             return
-        first_lab, adj = self.first_lab, self.adj
+        first_lab = self.first_lab
         aut = [first_lab[i] for i in pos]
-        if all(aut[v] in adj[aut[u]] for u, v in self.g.edges):
+        if carries(aut, self.g.edges, self.adj):
             # leaves differ in the vertex some node individualized, so each
             # one found is new and not the identity.  It maps the vertex
             # individualized at each depth to the first path's, so it fixes
@@ -450,10 +450,9 @@ def are_isomorphic(g1: Graph, g2: Graph,
     if c1.cert != c2.cert:
         return False, None
     witness = c1.labeling * c2.labeling.inverse()
-    for u, v in g1.edges:
-        if not g2.has_edge(witness(u), witness(v)):
-            raise SearchBudgetExceededError(
-                "internal error: canonical witness fails edge check")
+    if not carries(witness.images, g1.edges, g2.adjacency):
+        raise SearchBudgetExceededError(
+            "internal error: canonical witness fails edge check")
     return True, witness
 
 
@@ -483,7 +482,8 @@ def has_orbit_swapper(og: OrientedGraph) -> bool:
     is built.
     """
     n = og.graph.n
-    doubled = build_graph(3 * n, [(t, n + h) for t, h in og.arc_set] + [
+    doubled = build_graph(3 * n, [
+        (t, n + h) for t, hs in enumerate(og.out_neighbors) for h in hs] + [
         e for v in range(n) for e in ((v, 2 * n + v), (n + v, 2 * n + v))])
     return any(n <= p(0) < 2 * n
                for p in automorphism_group(doubled).generators)

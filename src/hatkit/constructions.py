@@ -212,7 +212,7 @@ def build_cubic_arc_graph(delta: Graph, delta_group: GroupByGenerators):
     if not delta.is_regular(3):
         raise InvalidParamsError("arc-graph construction needs a cubic graph")
     delta.require_connected()
-    arcs = sorted(delta.arcs)
+    arcs = sorted(delta.edges + tuple((v, u) for u, v in delta.edges))
     index = {a: k for k, a in enumerate(arcs)}
     edges = set()
     for (u, v) in arcs:

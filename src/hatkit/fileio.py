@@ -1,5 +1,5 @@
-"""File formats: edge-list text, graph6/sparse6, permutation JSON bundles,
-DOT export.
+"""File formats: edge-list text, graph6/sparse6 input, permutation JSON
+bundles, DOT export.
 
 Edge-list format: first line ``n m``, then m lines ``u v``.
 Bundle JSON: {"n": ..., "edges": [[u, v], ...], "generators": [[...], ...],
@@ -47,14 +47,6 @@ def format_edgelist(g: Graph) -> str:
 
 # -- graph6 / sparse6 ----------------------------------------------------------
 
-def _g6_encode_size(n: int) -> bytes:
-    if n < 0 or n > 258047:
-        raise ParseError(f"graph6 size {n} out of supported range")
-    if n <= 62:
-        return bytes([n + 63])
-    return bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-
-
 def _g6_decode_size(data: bytes) -> Tuple[int, bytes]:
     if not data:
         raise ParseError("empty graph6 string")
@@ -66,23 +58,6 @@ def _g6_decode_size(data: bytes) -> Tuple[int, bytes]:
         raise ParseError("graph6 sizes above 258047 are unsupported")
     n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
     return n, data[4:]
-
-
-def graph6_encode(g: Graph) -> str:
-    """Standard graph6 bit packing of the upper triangle, column order."""
-    bits = []
-    for v in range(g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6 != 0:
-        bits.append(0)
-    body = bytearray(_g6_encode_size(g.n))
-    for k in range(0, len(bits), 6):
-        value = 0
-        for b in bits[k:k + 6]:
-            value = (value << 1) | b
-        body.append(value + 63)
-    return body.decode("ascii")
 
 
 def graph6_decode(s: str) -> Graph:
@@ -201,12 +176,9 @@ def bundle_from_json(text: str):
 
 # -- DOT export ----------------------------------------------------------------
 
-def to_dot(g: Graph, name: str = "G", labels: Optional[dict] = None) -> str:
-    lines = [f"graph {name} {{"]
-    for v in range(g.n):
-        label = labels.get(v) if labels else None
-        lines.append(f'  {v} [label="{label}"];' if label is not None else f"  {v};")
-    for u, v in g.edges:
-        lines.append(f"  {u} -- {v};")
+def to_dot(g: Graph) -> str:
+    lines = ["graph G {"]
+    lines.extend(f"  {v};" for v in range(g.n))
+    lines.extend(f"  {u} -- {v};" for u, v in g.edges)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,8 +1,9 @@
-"""Simple undirected graphs, arcs, group-induced orientations and the
+"""Simple undirected graphs, group-induced orientations and the
 half-arc-transitivity check.
 
-Edges are stored as unordered pairs (u, v) with u < v; arcs as ordered
-pairs.  Graphs are immutable after construction.
+A graph is its sorted adjacency tuples, its edges (u, v) with u < v read
+off them once; an orientation is its sorted out- and in-neighbour tuples.
+``carries`` is the one edge check on them.  Graphs are immutable.
 """
 
 from __future__ import annotations
@@ -43,25 +44,6 @@ class Graph:
         return tuple(out)
 
     @cached_property
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edges)
-
-    @cached_property
-    def edge_codes(self) -> frozenset:
-        """u*n + v for both orders (u, v) of every edge."""
-        n = self.n
-        return frozenset([u * n + v for u, v in self.edges]
-                         + [v * n + u for u, v in self.edges])
-
-    @cached_property
-    def arcs(self) -> tuple:
-        out = []
-        for u, v in self.edges:
-            out.append((u, v))
-            out.append((v, u))
-        return tuple(sorted(out))
-
-    @cached_property
     def is_connected(self) -> bool:
         if self.n == 0:
             return False
@@ -75,14 +57,8 @@ class Graph:
                     stack.append(v)
         return len(seen) == self.n
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def is_regular(self, k: int) -> bool:
         return all(len(nbrs) == k for nbrs in self.adjacency)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self.edge_set
 
     def require_connected(self):
         if not self.is_connected:
@@ -117,11 +93,16 @@ def build_graph(n: int, edge_list) -> Graph:
     return Graph(n, tuple(map(tuple, map(sorted, adj))))
 
 
+def carries(images, pairs, adjacency) -> bool:
+    """Is images[v] in adjacency[images[u]] for every pair (u, v)?  Maps of
+    edges into an adjacency (automorphisms, search leaves, isomorphism
+    witnesses) and of arcs into out-neighbours (orientations) are checked
+    here; each pair scans one adjacency tuple."""
+    return all(images[v] in adjacency[images[u]] for u, v in pairs)
+
+
 def is_automorphism(g: Graph, p: Permutation) -> bool:
-    if p.degree != g.n:
-        return False
-    n, img = g.n, p.images
-    return g.edge_codes.issuperset([img[u] * n + img[v] for u, v in g.edges])
+    return p.degree == g.n and carries(p.images, g.edges, g.adjacency)
 
 
 def arc_orbit(graph: Graph, group: GroupByGenerators) -> list:
@@ -150,14 +131,27 @@ def arc_transitive(graph: Graph, group: GroupByGenerators) -> bool:
 
 @dataclass(frozen=True)
 class OrientedGraph:
-    """A tetravalent graph plus a head choice per edge, with in-degree and
-    out-degree 2 at every vertex, held as each vertex's sorted out- and
-    in-neighbours.  The constructor trusts its arguments;
-    ``orientation_from_heads`` and ``orientation_from_arcs`` check them."""
+    """A tetravalent graph plus a head choice per edge, held as each
+    vertex's sorted out- and in-neighbours, two of each;
+    ``orientation_from_heads`` and ``orientation_from_arcs`` build one."""
 
     graph: Graph
     out_neighbors: tuple = field(compare=False, repr=False)
     in_neighbors: tuple = field(compare=False, repr=False)
+
+    def __post_init__(self):
+        """Raise ValueError unless each vertex has two out- and two
+        in-neighbours, its out-neighbours increasing, and each out-arc
+        t -> h has t among h's in-neighbours; then the 2n out-arcs are
+        the 2n in-arcs."""
+        out, inn, n = self.out_neighbors, self.in_neighbors, self.graph.n
+        if not len(out) == len(inn) == n or set(map(len, out + inn)) - {2}:
+            raise ValueError("orientation is not in/out 2-regular")
+        for t, (a, b) in enumerate(out):
+            if not 0 <= a < b < n:
+                raise ValueError("orientation is not in/out 2-regular")
+            if t not in inn[a] or t not in inn[b]:
+                raise ValueError(f"an out-arc of {t} is not an in-arc of its head")
 
     @cached_property
     def head_of(self) -> dict:
@@ -165,14 +159,10 @@ class OrientedGraph:
         return {(t, h) if t < h else (h, t): h
                 for t, hs in enumerate(self.out_neighbors) for h in hs}
 
-    @cached_property
-    def arc_set(self) -> frozenset:
-        """The chosen arcs (tail, head)."""
-        return frozenset([(t, h) for t, hs in enumerate(self.out_neighbors)
-                          for h in hs])
-
     def is_preserved_by(self, p: Permutation) -> bool:
-        return all((p(t), p(h)) in self.arc_set for t, h in self.arc_set)
+        out = self.out_neighbors
+        return p.degree == self.graph.n and carries(
+            p.images, [(t, h) for t, hs in enumerate(out) for h in hs], out)
 
 
 def orientation_from_heads(g: Graph, head_of: dict) -> OrientedGraph:
@@ -181,7 +171,7 @@ def orientation_from_heads(g: Graph, head_of: dict) -> OrientedGraph:
     out-degree 2 everywhere."""
     if not g.is_regular(4):
         raise ValueError("oriented graphs must be tetravalent")
-    if head_of.keys() != g.edge_set:
+    if head_of.keys() != set(g.edges):
         raise ValueError("orientation must cover every edge exactly once")
     out = [[] for _ in range(g.n)]
     inn = [[] for _ in range(g.n)]
@@ -194,8 +184,6 @@ def orientation_from_heads(g: Graph, head_of: dict) -> OrientedGraph:
             raise ValueError(f"head {h} not an endpoint of {(u, v)}")
         out[t].append(h)
         inn[h].append(t)
-    if any(len(x) != 2 for x in out) or any(len(x) != 2 for x in inn):
-        raise ValueError("orientation is not in/out 2-regular")
     return OrientedGraph(g, tuple(map(tuple, map(sorted, out))),
                          tuple(map(tuple, map(sorted, inn))))
 

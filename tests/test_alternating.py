@@ -293,7 +293,7 @@ class TestAssociatedCirculant:
         _g, _grp, s = analyzed(build_xo, XoParams(3, 13, 3))
         c = associated_circulant(s)
         expected = build_circulant(13, {1, -1, 3, -3})
-        assert c.edge_set == expected.edge_set
+        assert c.edges == expected.edges
 
     def test_degenerate_small(self):
         og = loose_orientation(7)

@@ -11,7 +11,6 @@ from hatkit.fileio import (
     bundle_to_json,
     format_edgelist,
     graph6_decode,
-    graph6_encode,
     parse_edgelist,
     sparse6_decode,
     to_dot,
@@ -21,6 +20,18 @@ from hatkit.graphcore import Graph, build_graph
 
 def random_graph(draw_edges, n):
     return build_graph(n, draw_edges)
+
+
+def to_nx(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges)
+    return nxg
+
+
+def graph6(g):
+    """The graph6 string networkx writes for ``g``."""
+    return nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
 
 
 edge_lists = st.integers(2, 12).flatmap(
@@ -33,7 +44,7 @@ edge_lists = st.integers(2, 12).flatmap(
 class TestEdgeList:
     def test_round_trip(self):
         g = build_circulant(9, {1, -1, 2, -2})
-        assert parse_edgelist(format_edgelist(g)).edge_set == g.edge_set
+        assert parse_edgelist(format_edgelist(g)).edges == g.edges
 
     def test_bad_header(self):
         with pytest.raises(ParseError):
@@ -52,35 +63,21 @@ class TestGraph6:
     @given(edge_lists)
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, g):
-        assert graph6_decode(graph6_encode(g)).edge_set == g.edge_set
-
-    @given(edge_lists)
-    @settings(max_examples=40, deadline=None)
-    def test_encoding_matches_networkx(self, g):
-        ours = graph6_encode(g)
-        nxg = nx.Graph()
-        nxg.add_nodes_from(range(g.n))
-        nxg.add_edges_from(g.edges)
-        theirs = nx.to_graph6_bytes(nxg, header=False).decode().strip()
-        assert ours == theirs
+        assert graph6_decode(graph6(g)).edges == g.edges
 
     @given(edge_lists)
     @settings(max_examples=40, deadline=None)
     def test_decoding_networkx_output(self, g):
-        nxg = nx.Graph()
-        nxg.add_nodes_from(range(g.n))
-        nxg.add_edges_from(g.edges)
-        s = nx.to_graph6_bytes(nxg, header=False).decode().strip()
-        assert graph6_decode(s).edge_set == g.edge_set
+        s = nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
+        assert graph6_decode(s).edges == g.edges
 
     def test_header_stripped(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        assert graph6_decode(">>graph6<<" + graph6_encode(g)
-                             ).edge_set == g.edge_set
+        assert graph6_decode(">>graph6<<" + graph6(g)).edges == g.edges
 
     def test_large_size_prefix(self):
         g = build_graph(100, [(i, i + 1) for i in range(99)])
-        s = graph6_encode(g)
+        s = graph6(g)
         assert s[0] == chr(126)
         assert graph6_decode(s).n == 100
 
@@ -93,11 +90,8 @@ class TestSparse6:
     @given(edge_lists)
     @settings(max_examples=40, deadline=None)
     def test_decoding_networkx_output(self, g):
-        nxg = nx.Graph()
-        nxg.add_nodes_from(range(g.n))
-        nxg.add_edges_from(g.edges)
-        s = nx.to_sparse6_bytes(nxg, header=False).decode().strip()
-        assert sparse6_decode(s).edge_set == g.edge_set
+        s = nx.to_sparse6_bytes(to_nx(g), header=False).decode().strip()
+        assert sparse6_decode(s).edges == g.edges
 
     def test_prefix_required(self):
         with pytest.raises(ParseError):
@@ -105,11 +99,8 @@ class TestSparse6:
 
     def test_dispatch_from_graph6_decode(self):
         g = build_wreath(4)
-        nxg = nx.Graph()
-        nxg.add_nodes_from(range(g.n))
-        nxg.add_edges_from(g.edges)
-        s = nx.to_sparse6_bytes(nxg, header=False).decode().strip()
-        assert graph6_decode(s).edge_set == g.edge_set
+        s = nx.to_sparse6_bytes(to_nx(g), header=False).decode().strip()
+        assert graph6_decode(s).edges == g.edges
 
 
 class TestBundles:
@@ -119,14 +110,14 @@ class TestBundles:
         grp = wreath_hat_group(4)
         text = bundle_to_json(g, grp, {"family": "wreath", "n": 4})
         g2, grp2, params = bundle_from_json(text)
-        assert g2.edge_set == g.edge_set
+        assert g2.edges == g.edges
         assert grp2.generators == grp.generators
         assert params == {"family": "wreath", "n": 4}
 
     def test_graph_only(self):
         g = build_circulant(7, {1, -1, 2, -2})
         g2, grp2, params = bundle_from_json(bundle_to_json(g))
-        assert g2.edge_set == g.edge_set and grp2 is None and params == {}
+        assert g2.edges == g.edges and grp2 is None and params == {}
 
     def test_bad_json(self):
         with pytest.raises(ParseError):
@@ -156,6 +147,5 @@ class TestBundles:
 class TestDot:
     def test_contains_all_edges(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        dot = to_dot(g, labels={0: "a"})
+        dot = to_dot(g)
         assert "0 -- 1;" in dot and "1 -- 2;" in dot
-        assert 'label="a"' in dot

@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from hatkit.autsearch import automorphism_group
 from hatkit.constructions import build_circulant, build_wreath, wreath_hat_group
 from hatkit.errors import (
     ArcTransitiveError,
@@ -14,6 +16,7 @@ from hatkit.errors import (
     NotVertexTransitiveError,
 )
 from hatkit.graphcore import (
+    OrientedGraph,
     build_graph,
     certify_hat,
     edge_key,
@@ -21,9 +24,9 @@ from hatkit.graphcore import (
     orientation_from_arcs,
     orientation_from_heads,
 )
-from hatkit.harness import instance_pool
+from hatkit.harness import GridConfig, instance_pool
 from hatkit.perm import GroupByGenerators, Permutation
-from oracles import certified_heads, reverse_orientation
+from oracles import certified_heads, preserves, reverse_orientation
 from oracles import is_automorphism as automorphism_by_definition
 from test_harness import SMALL
 
@@ -48,7 +51,7 @@ class TestBuildGraph:
     def test_edges_sorted_and_arcs_paired(self):
         g = cycle_graph(4)
         assert g.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
-        assert len(g.arcs) == 8
+        assert sum(map(len, g.adjacency)) == 8
 
     def test_connectivity(self):
         assert cycle_graph(5).is_connected
@@ -60,7 +63,7 @@ class TestBuildGraph:
     def test_degrees(self):
         g = build_circulant(7, {1, -1, 2, -2})
         assert g.is_regular(4)
-        assert g.degree(0) == 4
+        assert len(g.adjacency[0]) == 4
 
 
 class TestAutomorphism:
@@ -71,6 +74,15 @@ class TestAutomorphism:
     def test_transposition_is_not(self):
         g = cycle_graph(5)
         assert not is_automorphism(g, Permutation((1, 0, 2, 3, 4)))
+
+    @pytest.mark.parametrize("images", [(4, 1, 2, 3, 0), (0, 1, 2, 4, 3)])
+    def test_least_and_last_edges_checked(self, images):
+        """On the path 0-1-2-3 beside the isolated vertex 4, each map
+        carries one edge, the least or the last, off the edges."""
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3)])
+        p = Permutation(images)
+        assert not is_automorphism(g, p)
+        assert not automorphism_by_definition(g, p)
 
     def test_matches_definition_on_small_grid(self):
         rng = random.Random(20)
@@ -83,12 +95,22 @@ class TestAutomorphism:
             perms += [Permutation.from_mapping(
                 g.n, lambda y, x=x: {0: x, x: 0}.get(y, y))
                 for x in range(1, g.n)]
-            perms.append(Permutation.identity(g.n + 1))
+            perms += [Permutation.identity(g.n - 1),
+                      Permutation.identity(g.n + 1)]
             for p in perms:
                 want = automorphism_by_definition(g, p)
                 assert is_automorphism(g, p) == want, (key, p)
                 verdicts.add(want)
         assert verdicts == {True, False}
+
+    def test_every_pool_generator_matches_definition(self):
+        checked = 0
+        for key, rec in instance_pool(GridConfig()):
+            for p in rec.group.generators:
+                assert is_automorphism(rec.graph, p), (key, p)
+                assert automorphism_by_definition(rec.graph, p), (key, p)
+                checked += 1
+        assert checked > 400
 
 
 def circulant_orientation(n):
@@ -107,13 +129,67 @@ class TestOrientedGraph:
 
     def test_head_tail(self):
         og = circulant_orientation(7)
-        assert og.head_of[(0, 1)] == 1 and (0, 1) in og.arc_set
+        assert og.head_of[(0, 1)] == 1 and 1 in og.out_neighbors[0]
 
     def test_unbalanced_orientation_rejected(self):
         g = build_circulant(7, {1, -1, 2, -2})
         # every edge pointed at its larger endpoint: not in/out 2-regular
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not in/out 2-regular"):
             orientation_from_heads(g, {e: max(e) for e in g.edges})
+
+    def test_neighbour_tuples_checked(self):
+        og = circulant_orientation(7)
+        out, inn = list(og.out_neighbors), og.in_neighbors
+        for bad in ((1,), (2, 1), (1, 1), (1, 2, 3), (-1, 1), (1, 7)):
+            out[0] = bad
+            with pytest.raises(ValueError, match="not in/out 2-regular"):
+                OrientedGraph(og.graph, tuple(out), inn)
+        with pytest.raises(ValueError, match="not in/out 2-regular"):
+            OrientedGraph(og.graph, og.out_neighbors, inn[:-1])
+        out[0] = (1, 3)  # 0 is not an in-neighbour of 3
+        with pytest.raises(ValueError, match="out-arc of 0 is not an in-arc"):
+            OrientedGraph(og.graph, tuple(out), inn)
+
+    def test_swapped_in_neighbours_rejected(self):
+        """Swapping the in-neighbour tuples of two vertices keeps every
+        vertex in/out 2-regular but lists arcs under the wrong head, which
+        would send the alternating-cycle walk off the vertex range; each of the
+        112 swaps on Circ(n; +-1, +-3), n = 7, 9, 11, is rejected."""
+        swaps = 0
+        for n in (7, 9, 11):
+            g = build_circulant(n, {1, -1, 3, -3})
+            og = orientation_from_arcs(
+                g, [(x, (x + d) % n) for x in range(n) for d in (1, 3)])
+            for x, y in itertools.combinations(range(n), 2):
+                inn = list(og.in_neighbors)
+                inn[x], inn[y] = inn[y], inn[x]
+                with pytest.raises(ValueError, match="is not an in-arc"):
+                    OrientedGraph(g, og.out_neighbors, tuple(inn))
+                swaps += 1
+        assert swaps == 112
+
+    def test_preservation_matches_definition(self):
+        """is_preserved_by against the arc-set definition on the small-grid
+        orientations and their reverses, for the group's generators, the
+        generators of Aut, random permutations and maps of the wrong
+        degree; some automorphisms preserve an orientation and some do
+        not."""
+        rng = random.Random(21)
+        verdicts = set()
+        for key, rec in instance_pool(SMALL):
+            g = rec.graph
+            perms = list(rec.group.generators)
+            perms += automorphism_group(g).generators
+            perms += [Permutation(tuple(rng.sample(range(g.n), g.n)))
+                      for _ in range(10)]
+            perms += [Permutation.identity(g.n - 1),
+                      Permutation.identity(g.n + 1)]
+            for og in (rec.orientation, reverse_orientation(rec.orientation)):
+                for p in perms:
+                    want = preserves(og, p)
+                    assert og.is_preserved_by(p) == want, (key, p)
+                    verdicts.add((want, automorphism_by_definition(g, p)))
+        assert verdicts == {(True, True), (False, True), (False, False)}
 
     def test_non_tetravalent_rejected(self):
         g = cycle_graph(4)
@@ -136,15 +212,14 @@ class TestOrientedGraph:
         og = circulant_orientation(9)
         back = reverse_orientation(reverse_orientation(og))
         assert back.head_of == og.head_of
-        assert reverse_orientation(og).arc_set == frozenset(
-            (h, t) for t, h in og.arc_set)
+        assert reverse_orientation(og).out_neighbors == og.in_neighbors
 
 
 class TestCertifyHat:
     def test_wreath_pair_is_certified(self):
         n = 5
         og = certify_hat(build_wreath(n), wreath_hat_group(n))
-        assert len(og.arc_set) == 4 * n
+        assert sum(map(len, og.out_neighbors)) == 4 * n
 
     def test_bad_generator(self):
         g = build_wreath(4)
@@ -189,8 +264,9 @@ class TestCertifyHat:
 
     def test_orientation_covers_each_edge_once(self):
         og = certify_hat(build_wreath(6), wreath_hat_group(6))
-        covered = {edge_key(t, h) for t, h in og.arc_set}
-        assert covered == og.graph.edge_set
+        covered = {edge_key(t, h) for t, hs in enumerate(og.out_neighbors)
+                   for h in hs}
+        assert covered == set(og.graph.edges)
 
     def test_non_automorphism_reported_before_transitivity(self):
         """A generator that is no automorphism is named, the least such,

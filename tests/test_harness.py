@@ -15,7 +15,7 @@ from hatkit.constructions import (
     special_circulant_k44,
     wreath_hat_group,
 )
-from hatkit.fileio import bundle_to_json, format_edgelist, graph6_encode
+from hatkit.fileio import bundle_to_json, format_edgelist
 from hatkit.graphcore import edge_key
 from hatkit.harness import (
     GridConfig,
@@ -26,6 +26,7 @@ from hatkit.harness import (
 )
 from hatkit.perm import GroupByGenerators, Permutation, StabilizerChain
 from oracles import closure, setwise_action
+from test_fileio import graph6
 
 SMALL = GridConfig(xo_m=(3,), xo_r=(5, 7, 9), xe_m=(4,), xe_r=(4, 6),
                    wreath_n=(3, 4))
@@ -187,14 +188,14 @@ class TestIngest:
         path = tmp_path / "g.txt"
         path.write_text(format_edgelist(g))
         g2, grp = ingest(path)
-        assert g2.edge_set == g.edge_set and grp is None
+        assert g2.edges == g.edges and grp is None
 
     def test_graph6(self, tmp_path):
         g = build_wreath(4)
         path = tmp_path / "g.g6"
-        path.write_text(graph6_encode(g) + "\n")
+        path.write_text(graph6(g) + "\n")
         g2, grp = ingest(path)
-        assert g2.edge_set == g.edge_set
+        assert g2.edges == g.edges
 
     def test_bundle_json(self, tmp_path):
         g = build_wreath(4)
@@ -202,7 +203,7 @@ class TestIngest:
         path = tmp_path / "g.json"
         path.write_text(bundle_to_json(g, grp))
         g2, grp2 = ingest(path)
-        assert g2.edge_set == g.edge_set
+        assert g2.edges == g.edges
         assert grp2.order() == grp.order()
 
     def test_ingested_file_joins_pool(self, tmp_path):
@@ -411,7 +412,7 @@ class TestCli:
     BAD_INPUT = {
         "loop.txt": "3 1\n1 1\n",
         # a graph6 file must hold exactly one graph
-        "two-graphs.g6": 2 * (graph6_encode(build_wreath(4)) + "\n"),
+        "two-graphs.g6": 2 * (graph6(build_wreath(4)) + "\n"),
         # the multigraph {0-1, 0-1, 2-3}, ":C_y"
         "repeated-edge.s6": nx.to_sparse6_bytes(
             nx.MultiGraph([(0, 1), (0, 1), (2, 3)]), header=False).decode(),

@@ -101,7 +101,7 @@ class TestQuotientGraph:
         g, grp = k4_arc_instance()
         s = analyzed(g, grp)
         q = quotient_graph(g, construction_b(s))
-        assert q.graph.edge_set == g.edge_set
+        assert q.graph.edges == g.edges
         assert q.multiplicity == 1
 
     def test_wreath_fiber_quotient_degenerate(self):
