@@ -8,8 +8,9 @@ Usage:
 
 A rung is one hatkit command line: ``aut SPEC`` and ``analyze --aut SPEC``
 on Xo(4,r;1) for growing r and on ``wreath:k`` up to k = 600, ``iso`` on
-Xo(4,r;1) against Xo(4,r;r-1), which q -> -q makes isomorphic, and ``aut``
-and ``iso`` on circulants of order 10,000.  Every run is ``python3 -m
+Xo(4,r;1) against Xo(4,r;r-1), which q -> -q makes isomorphic, ``aut`` on
+a circulant of order 10,000, and ``iso`` on an isomorphic and a
+non-isomorphic pair of them.  Every run is ``python3 -m
 hatkit.cli`` with a checkout's ``src`` first on the import path and a
 wall-clock timeout; its standard output is discarded.  With ``--parent``,
 each rung runs on that checkout and on this one, the side that runs first
@@ -40,7 +41,8 @@ RUNGS = (*(f"aut {spec}" for spec in SPECS),
          *(f"analyze --aut {spec}" for spec in SPECS),
          *(f"iso xo:4,{r},1 xo:4,{r},{r - 1}" for r in (101, 251, 501, 1001)),
          "aut circ:10000:1,7",
-         "iso circ:10000:1,7 circ:10000:1,9993")
+         "iso circ:10000:1,7 circ:10000:1,9993",
+         "iso circ:10000:1,7 circ:10000:1,11")
 SECTION = "scale ladder"
 
 

@@ -35,10 +35,24 @@ target cell and was pruned into the orbit, searched until a leaf matched
 the first one, giving an automorphism that maps the vertex to it, or,
 below a node with two-point cells, is the vertex's swap partner.  So
 |Aut| is the product of the basic orbit lengths, with no Schreier-Sims
-run; ``automorphism_group`` still checks every generator.
-Canonical labellings are those of the full search: a skipped subtree is
-the image of one searched before it, and the best labelling is replaced
-only on a strictly smaller certificate.
+run; ``automorphism_group`` still checks every generator, on the edges at
+its moved points, since an edge between two fixed points maps to itself.
+
+The search hands the first leaf, and every later leaf that gives no
+automorphism, to what its caller asked for; a leaf it skips is the image,
+under an automorphism, of a leaf it handed over.  ``canonical_form`` keeps
+the least certificate of those leaves, replaced only on a strictly smaller
+one, so its labellings are those of the full search; nothing else sorts a
+certificate.  ``are_isomorphic`` walks the first graph to its first leaf
+only, then searches the second until a leaf's labelling, composed with
+that leaf's, carries the first graph's edges into the second's adjacency.
+Refinement and the target cell read no vertex labels, so an isomorphism
+maps the first graph's search tree onto the second's, leaf by leaf; if
+the search of the second skips the image of the first leaf, it compared
+a leaf that an automorphism of the second graph maps onto that image,
+and that leaf matches too.  So the second search ends without a match
+exactly when the graphs are not isomorphic.  A caller ends the
+search by returning true from its leaf handler, which empties the stack.
 """
 
 from __future__ import annotations
@@ -46,11 +60,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
-from .errors import SearchBudgetExceededError
+from .errors import InconsistentError, SearchBudgetExceededError
 from .graphcore import (Graph, OrientedGraph, arc_transitive, build_graph,
-                        carries, is_automorphism)
+                        carries)
 from .perm import GroupByGenerators, Permutation
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -154,21 +168,26 @@ class _Search:
     named by its start position, which no split moves.  ``pos``, the
     inverse of ``lab``, is one list, filled by ``_node``; frames do not
     store it.  Nothing reads the order within a cell.
+
+    ``visit(lab, pos)``, when given, receives the first leaf and every
+    later leaf that gives no automorphism, as the vertices by position and
+    its labelling (``pos`` is reused afterwards); the search ends when it
+    returns true.
     """
 
-    def __init__(self, g: Graph, budget: int):
+    def __init__(self, g: Graph, budget: int,
+                 visit: Optional[Callable[[list, list], bool]] = None):
         self.g = g
         self.n = g.n
         self.adj = g.adjacency
         self.budget = budget
+        self.visit = visit
         self.nodes = 0
         self.identity = tuple(range(self.n))
         self.pos = [0] * self.n
         self.auts: list = []  # (images, moved points) of each automorphism
         self.base: Optional[tuple] = None  # the first path
         self.first_lab: Optional[list] = None
-        self.best_cert: Optional[tuple] = None
-        self.best_labeling: Optional[tuple] = None
 
     # -- equitable refinement ------------------------------------------------
 
@@ -373,50 +392,65 @@ class _Search:
             frame.auts.append(found)
 
     def _leaf(self, lab, pos, stack, path):
-        """Compare a leaf, labelled by ``pos``, with the first.  Their
-        certificates are equal exactly when the two labellings compose to
-        an automorphism, so that is checked first, and only a leaf that
-        gives none sorts its certificate."""
+        """Compare a leaf, labelled by ``pos``, with the first: the two
+        labellings compose to an automorphism exactly when their
+        certificates are equal.  A leaf that gives none goes to ``visit``,
+        as does the first; emptying the stack ends the search."""
         if self.base is None:
             self.base = tuple(frame.vertex for frame in stack) + tuple(path)
             self.first_lab = lab
-            self.best_cert, self.best_labeling = self._certificate(pos), pos[:]
-            return
-        first_lab = self.first_lab
-        aut = [first_lab[i] for i in pos]
-        if carries(aut, self.g.edges, self.adj):
-            # leaves differ in the vertex some node individualized, so each
-            # one found is new and not the identity.  It maps the vertex
-            # individualized at each depth to the first path's, so it fixes
-            # the common prefix and maps the first path's subtree below the
-            # prefix onto this leaf's: the rest of that subtree is skipped.
-            common = next(d for d, frame in enumerate(stack)
-                          if frame.vertex != self.base[d])
-            del stack[common + 1:]
-            self._record((tuple(aut), [x for x, y in enumerate(aut)
-                                       if x != y]), stack)
-            return
-        cert = self._certificate(pos)
-        if cert < self.best_cert:
-            self.best_cert, self.best_labeling = cert, pos[:]
-
-    def _certificate(self, labeling):
-        """The sorted edge tuple of the graph relabelled by ``labeling``."""
-        return tuple(sorted(
-            (labeling[u], labeling[v]) if labeling[u] < labeling[v]
-            else (labeling[v], labeling[u]) for u, v in self.g.edges))
+        else:
+            first_lab = self.first_lab
+            aut = [first_lab[i] for i in pos]
+            if carries(aut, self.g.edges, self.adj):
+                # leaves differ in the vertex some node individualized, so
+                # each one found is new and not the identity.  It maps the
+                # vertex individualized at each depth to the first path's,
+                # so it fixes the common prefix and maps the first path's
+                # subtree below the prefix onto this leaf's: the rest of
+                # that subtree is skipped.
+                common = next(d for d, frame in enumerate(stack)
+                              if frame.vertex != self.base[d])
+                del stack[common + 1:]
+                self._record((tuple(aut), [x for x, y in enumerate(aut)
+                                           if x != y]), stack)
+                return
+        if self.visit is not None and self.visit(lab, pos):
+            stack.clear()
 
 
-def _searched(g: Graph, budget: int) -> _Search:
-    s = _Search(g, budget)
-    s.run()
-    return s
+def _certificate(edges, labeling) -> tuple:
+    """The sorted edge tuple of the graph relabelled by ``labeling``."""
+    return tuple(sorted(
+        (labeling[u], labeling[v]) if labeling[u] < labeling[v]
+        else (labeling[v], labeling[u]) for u, v in edges))
+
+
+def _carried_at_moved(adjacency, images, moved) -> bool:
+    """Is ``images``, a permutation that fixes every point outside
+    ``moved``, an automorphism?  Only the edges at moved points are
+    checked: an edge between two fixed points maps to itself, and a
+    bijection that carries every edge onto an edge carries the edge set
+    onto itself."""
+    return carries(images, ((u, v) for u in moved for v in adjacency[u]),
+                   adjacency)
 
 
 def canonical_form(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> CanonicalForm:
-    s = _searched(g, budget)
-    return CanonicalForm(labeling=Permutation(tuple(s.best_labeling)),
-                         cert=s.best_cert)
+    """The least certificate over the leaves the search hands over, with
+    the labelling of the first leaf that reaches it."""
+    best = None
+
+    def keep_least(_lab, pos):
+        nonlocal best
+        cert = _certificate(g.edges, pos)
+        if best is None or cert < best[0]:
+            best = cert, pos[:]
+        return False
+
+    _Search(g, budget, keep_least).run()
+    cert, labeling = best
+    return CanonicalForm(labeling=Permutation(tuple(labeling)), cert=cert)
 
 
 def automorphism_group(g: Graph,
@@ -424,36 +458,55 @@ def automorphism_group(g: Graph,
     """Full automorphism group: its generators are the verified
     automorphisms the search found, a strong generating set for the first
     path as base, so order and membership need no Schreier-Sims run."""
-    s = _searched(g, budget)
-    gens = []
-    for images, _moved in s.auts:
-        p = Permutation(images)
-        if not is_automorphism(g, p):
-            raise SearchBudgetExceededError(
-                "internal error: candidate generator is not an automorphism")
-        gens.append(p)
-    return GroupByGenerators(tuple(gens), degree=g.n, base=s.base)
+    s = _Search(g, budget)
+    s.run()
+    for k, (images, moved) in enumerate(s.auts):
+        if not _carried_at_moved(g.adjacency, images, moved):
+            raise InconsistentError(
+                {"stage": "automorphism search", "generator": k,
+                 "moved": len(moved)},
+                f"automorphism search: found map {k} is not an automorphism")
+    return GroupByGenerators(tuple(Permutation(images) for images, _ in s.auts),
+                             degree=g.n, base=s.base)
 
 
 def are_isomorphic(g1: Graph, g2: Graph,
                    budget: int = DEFAULT_NODE_BUDGET
                    ) -> Tuple[bool, Optional[Permutation]]:
-    """Exact isomorphism decision; on success the witness mapping is
-    verified edge-by-edge before being returned."""
+    """Exact isomorphism decision, with an isomorphism as the witness.
+
+    After the order, size and degree checks, g1 is searched to its first
+    leaf only, and g2 until a leaf's labelling, composed with that leaf's,
+    carries g1's edges into g2's adjacency: the composite is the witness,
+    the isomorphism the search finds, not the canonical one.  Refinement
+    reads no labels, so an isomorphism maps g1's search tree onto g2's
+    leaf by leaf, and a leaf of g2 that pruning skips is the image, under
+    an automorphism of g2, of a leaf that was compared and matches exactly
+    when the skipped one does.  Each search has its own node budget.
+    """
     if g1.n != g2.n or len(g1.edges) != len(g2.edges):
         return False, None
     if sorted(len(a) for a in g1.adjacency) != sorted(
             len(a) for a in g2.adjacency):
         return False, None
-    c1 = canonical_form(g1, budget)
-    c2 = canonical_form(g2, budget)
-    if c1.cert != c2.cert:
-        return False, None
-    witness = c1.labeling * c2.labeling.inverse()
-    if not carries(witness.images, g1.edges, g2.adjacency):
-        raise SearchBudgetExceededError(
-            "internal error: canonical witness fails edge check")
-    return True, witness
+    pos1 = []
+
+    def stop(_lab, pos):
+        pos1.extend(pos)
+        return True
+
+    _Search(g1, budget, stop).run()
+    witness = None
+
+    def match(lab, _pos):
+        nonlocal witness
+        images = [lab[i] for i in pos1]
+        if carries(images, g1.edges, g2.adjacency):
+            witness = Permutation(tuple(images))
+        return witness is not None
+
+    _Search(g2, budget, match).run()
+    return witness is not None, witness
 
 
 def is_arc_transitive(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:

@@ -19,7 +19,7 @@ import json
 import sys
 from contextlib import nullcontext
 from functools import cache
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import autsearch, harness, quotients
@@ -90,11 +90,52 @@ def parse_instance(spec: str):
     raise ParseError(f"unrecognized instance specifier {spec!r}")
 
 
+def _json_chunks(obj, indent=""):
+    """Yield ``obj`` as ``json.JSONEncoder(indent=2, sort_keys=True)``
+    writes it, with a list of plain ints (not bools) in one chunk made by
+    one ``join``."""
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                if not (key is None or isinstance(key, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or "
+                                    f"None, not {type(key).__name__}")
+                key = json.dumps(key)
+            yield sep + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(value, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        inner = indent + "  "
+        if all(type(x) is int for x in obj):
+            yield ("[\n" + inner + (",\n" + inner).join(map(str, obj))
+                   + "\n" + indent + "]")
+            return
+        sep = "[\n" + inner
+        for item in obj:
+            yield sep
+            yield from _json_chunks(item, inner)
+            sep = ",\n" + inner
+        yield "\n" + indent + "]"
+    elif isinstance(obj, str):
+        yield encode_basestring_ascii(obj)
+    elif type(obj) is int:
+        yield str(obj)
+    else:
+        yield json.dumps(obj)  # bools, None, floats as the encoder writes them
+
+
 def _write_json(doc, stream):
-    """Write ``doc`` as indented JSON, 4,096 encoder chunks per write."""
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
-    while text := "".join(islice(chunks, 4096)):
-        stream.write(text)
+    """Write ``doc`` as indented JSON, chunk by chunk."""
+    stream.writelines(_json_chunks(doc))
 
 
 def _emit(doc, args):

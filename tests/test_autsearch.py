@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
+from hatkit import autsearch, cli
 from hatkit.autsearch import (
     DEFAULT_NODE_BUDGET,
+    _carried_at_moved,
     _Search,
     are_isomorphic,
     automorphism_group,
@@ -22,7 +24,7 @@ from hatkit.constructions import (
     build_xe,
     build_xo,
 )
-from hatkit.errors import SearchBudgetExceededError
+from hatkit.errors import InconsistentError, SearchBudgetExceededError
 from hatkit.graphcore import (
     build_graph,
     certify_hat,
@@ -226,6 +228,120 @@ class TestIsomorphism:
     def test_size_mismatch(self):
         assert are_isomorphic(cycle_graph(5), cycle_graph(6)) == (False, None)
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_against_networkx(self, data):
+        """A relabelled copy and an independent graph, each against
+        networkx: the witness is present exactly when the graphs are
+        isomorphic, and then it is a bijection carrying edges onto
+        edges."""
+        g, nxg = data.draw(small_graphs())
+        images = data.draw(st.permutations(range(g.n)))
+        other, nx_other = data.draw(small_graphs())
+        for h, same in ((relabel(g, Permutation(tuple(images))), True),
+                        (other, nx.is_isomorphic(nxg, nx_other))):
+            ok, w = are_isomorphic(g, h)
+            assert ok == same and (w is not None) == same
+            assert w is None or is_isomorphism(g, h, w)
+
+    @pytest.mark.parametrize("a, b, same, searches", [
+        ((3, 91, 9), (3, 91, 10), True, [3, 3]),
+        ((3, 91, 9), (3, 91, 81), True, [3, 3]),
+        ((3, 91, 9), (3, 91, 12), False, [3, 7]),
+        ((3, 91, 10), (3, 91, 38), False, [3, 7]),
+        ((6, 67, 29), (6, 67, 30), True, [3, 3]),
+    ])
+    def test_tightly_attached_pairs(self, a, b, same, searches, monkeypatch):
+        """q against ±q^-1 in the families the paper measures.  The first
+        search stops at its first leaf, the second at its first match or
+        after its whole tree, and an isomorphic pair takes fewer nodes
+        than its two canonical forms."""
+        g1, _ = build_xo(XoParams(*a))
+        g2, _ = build_xo(XoParams(*b))
+        nodes = searched_nodes(monkeypatch)
+        ok, w = are_isomorphic(g1, g2)
+        assert ok == same and (w is not None) == same
+        assert w is None or is_isomorphism(g1, g2, w)
+        assert nodes == searches
+        searched = sum(nodes)
+        nodes.clear()
+        forms = canonical_form(g1), canonical_form(g2)
+        assert (forms[0].cert == forms[1].cert) == same
+        if same:
+            assert searched < sum(nodes)
+
+    def test_budget(self):
+        """Two copies of 1,200 disjoint edges, the second relabelled."""
+        g = build_graph(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
+        h = relabel(g, Permutation(tuple(reversed(range(2400)))))
+        with pytest.raises(SearchBudgetExceededError):
+            are_isomorphic(g, h, budget=100)
+
+    def test_builds_no_certificate(self, monkeypatch):
+        def no_certificate(*_args):
+            raise AssertionError("a certificate was built")
+        monkeypatch.setattr(autsearch, "_certificate", no_certificate)
+        assert automorphism_group(petersen()).order() == 120
+        g = petersen()
+        h = relabel(g, Permutation((3, 1, 4, 0, 5, 9, 2, 6, 8, 7)))
+        assert are_isomorphic(g, h)[0]
+        g1, _ = build_xo(XoParams(6, 13, 2))
+        g2, _ = build_xo(XoParams(6, 13, 3))
+        assert are_isomorphic(g1, g2) == (False, None)
+
+
+def searched_nodes(monkeypatch):
+    """The node count of every search run from now on, in order."""
+    nodes = []
+    run = _Search.run
+
+    def counting(self):
+        run(self)
+        nodes.append(self.nodes)
+
+    monkeypatch.setattr(_Search, "run", counting)
+    return nodes
+
+
+class TestGeneratorCheck:
+    """Each found automorphism is checked on the edges at its moved
+    points."""
+
+    def test_against_the_definition(self):
+        rng = random.Random(0)
+        broken = 0
+        for key, rec in instance_pool(SMALL):
+            g = rec.graph
+            for p in automorphism_group(g).generators:
+                images = list(p.images)
+                for corrupt in (False, True):
+                    if corrupt:
+                        x, y = rng.sample(range(g.n), 2)
+                        images[x], images[y] = images[y], images[x]
+                    moved = [x for x, y in enumerate(images) if x != y]
+                    want = automorphism_by_definition(
+                        g, Permutation(tuple(images)))
+                    assert _carried_at_moved(g.adjacency, images,
+                                             moved) == want, key
+                    broken += not want
+        assert broken > 100
+
+    def test_a_found_map_that_is_not_an_automorphism(self, monkeypatch,
+                                                     capsys):
+        run = _Search.run
+
+        def corrupted(self):
+            run(self)
+            swap = list(range(self.n))
+            swap[0], swap[1] = 1, 0
+            self.auts.append((tuple(swap), [0, 1]))
+
+        monkeypatch.setattr(_Search, "run", corrupted)
+        with pytest.raises(InconsistentError):
+            automorphism_group(cycle_graph(7))
+        assert cli.main(["aut", "circ:13:1,3"]) == 5
+        assert "error: InconsistentError: " in capsys.readouterr().err
+
 
 class TestArcTransitivity:
     def test_reference_circulants(self):
@@ -373,7 +489,7 @@ class TestJumpBack:
         images = list(range(g.n))
         random.Random(g.n).shuffle(images)
         h = relabel(g, Permutation(tuple(images)))
-        assert canonical_form(h).cert == s.best_cert
+        assert canonical_form(h).cert == canonical_form(g).cert
         ok, w = are_isomorphic(g, h)
         assert ok and is_isomorphism(g, h, w)
 

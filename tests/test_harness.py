@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -529,6 +530,42 @@ class TestCli:
         (report,) = json.loads(clean.read_text())
         assert not any(row["key"].startswith("file(")
                        for row in report["results"])
+
+    JSON_EDGE_CASES = [
+        [], {}, [[]], [1], [0, -1, 2 ** 70], (4, 5), [True, False],
+        [1, True], [1, 2.5], [1, None], [1, "2"], [[1, 2], [], [[3]]],
+        {"a": [1, {"b": []}], "c": None, "d": 1.5, "e": "x\u00e9\""},
+        {2: [1], 10: []}, {True: 0, False: 1}, {None: 1}, {2.5: [2]},
+        [float("nan"), float("inf"), -0.0], 7, "s", None, False,
+    ]
+
+    def test_json_writer_matches_the_encoder(self, tmp_path, monkeypatch,
+                                             capsys):
+        """Every report written, and the edge cases, byte for byte as
+        ``json.JSONEncoder(indent=2, sort_keys=True)`` writes them."""
+        docs = []
+        write = cli._write_json
+
+        def recording(doc, stream):
+            docs.append(doc)
+            write(doc, stream)
+
+        monkeypatch.setattr(cli, "_write_json", recording)
+        monkeypatch.setattr(harness, "GridConfig", lambda extra_files: SMALL)
+        for argv in (["aut", "xo:4,9,1"], ["aut", "circ:13:1,3"],
+                     ["iso", "xo:3,9,2", "xo:3,9,5"],
+                     ["iso", "xo:6,13,2", "xo:6,13,3"],
+                     ["analyze", "xo:3,9,2", "--aut"],
+                     ["analyze", "wreath:4", "--no-group", "--aut"],
+                     ["verify", "psi", "gta", "-o",
+                      str(tmp_path / "v.json")]):
+            assert cli.main(argv) == 0, argv
+        assert len(docs) == 7
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        for doc in docs + self.JSON_EDGE_CASES:
+            out = io.StringIO()
+            write(doc, out)
+            assert out.getvalue() == encoder.encode(doc)
 
     def test_altgraph_dot(self, capsys):
         assert cli.main(["altgraph", "xo:3,9,2", "--format", "dot"]) == 0
