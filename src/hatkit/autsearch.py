@@ -1,14 +1,17 @@
 """Exact automorphism groups, canonical forms and isomorphism testing via
 equitable-partition refinement with individualization backtracking.
 
+The search reads a graph's adjacency, or an oriented graph's out- and
+in-neighbours, refining until the partition is equitable for each (McKay
+& Piperno, *J. Symbolic Comput.* 2014, sections 2-3); a leaf check
+carries edges into the adjacency, or arcs into the out-neighbours.
 Refinement splits cells against a queue of splitter cells (Hopcroft 1971;
 McKay 1981), moving only the vertices a splitter hits, so that a split
 costs time in those vertices, not in the size of the cell (McKay &
-Piperno, *J. Symbolic Comput.* 2014, section 3).  Deterministic choices
-throughout: the target cell is the first smallest non-singleton cell,
-branching tries vertices in increasing order, and the canonical
-certificate is the lexicographically least relabeled edge tuple over all
-search leaves.
+Piperno, section 3).  Deterministic choices throughout: the target cell
+is the first smallest non-singleton cell, branching tries vertices in
+increasing order, and the canonical certificate is the lexicographically
+least relabeled edge tuple over all search leaves.
 
 The search is depth-first on an explicit stack, one frame per node of the
 current path, so no depth reaches Python's recursion limit.  The first
@@ -51,7 +54,8 @@ maps the first graph's search tree onto the second's, leaf by leaf; if
 the search of the second skips the image of the first leaf, it compared
 a leaf that an automorphism of the second graph maps onto that image,
 and that leaf matches too.  So the second search ends without a match
-exactly when the graphs are not isomorphic.  A caller ends the
+exactly when the graphs are not isomorphic.  ``has_orbit_swapper`` is
+that decision for an oriented graph and its reverse.  A caller ends the
 search by returning true from its leaf handler, which empties the stack.
 """
 
@@ -63,8 +67,7 @@ from itertools import groupby
 from typing import Callable, Optional, Tuple
 
 from .errors import InconsistentError, SearchBudgetExceededError
-from .graphcore import (Graph, OrientedGraph, arc_transitive, build_graph,
-                        carries)
+from .graphcore import Graph, OrientedGraph, arc_transitive, carries
 from .perm import GroupByGenerators, Permutation
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -85,6 +88,15 @@ def _find(orbit: dict, x):
             orbit[x] = orbit[parent]
         x = parent
     return x
+
+
+def _relations(g) -> tuple:
+    """The order of ``g``, the relations refinement reads, and the pairs a
+    leaf check carries into the first: a graph's adjacency and edges, or
+    an oriented graph's out- and in-neighbours and arcs."""
+    if isinstance(g, OrientedGraph):
+        return g.graph.n, (g.out_neighbors, g.in_neighbors), g.arcs
+    return g.n, (g.adjacency,), g.edges
 
 
 class _Frame:
@@ -160,7 +172,8 @@ class _Frame:
 
 
 class _Search:
-    """One backtracking search over ordered partitions of range(n).
+    """One backtracking search over ordered partitions of range(n), the
+    vertices of a graph or of an oriented graph.
 
     A partition is held as ``lab``, the vertices listed cell by cell,
     ``length``, where ``length[s]`` is the size of the cell starting at
@@ -175,11 +188,10 @@ class _Search:
     returns true.
     """
 
-    def __init__(self, g: Graph, budget: int,
+    def __init__(self, g: Graph | OrientedGraph, budget: int,
                  visit: Optional[Callable[[list, list], bool]] = None):
-        self.g = g
-        self.n = g.n
-        self.adj = g.adjacency
+        self.n, self.rels, self.pairs = _relations(g)
+        self.adj = self.rels[0]
         self.budget = budget
         self.visit = visit
         self.nodes = 0
@@ -214,11 +226,13 @@ class _Search:
 
     def refine(self, lab, length, start_of, pos, queue):
         """Split cells in place against the queued splitter cells until the
-        partition is equitable, keeping ``pos`` the inverse of ``lab``.
+        partition is equitable for every relation, keeping ``pos`` the
+        inverse of ``lab``.
 
-        A splitter splits each cell it touches by the number of neighbours
-        its vertices have in it, fragments in increasing count.  A split
-        cell that is still queued queues its new fragments; otherwise every
+        A splitter's vertices are read once; then, relation by relation,
+        it splits each cell it touches by the number of neighbours its
+        vertices have in it, fragments in increasing count.  A split cell
+        that is still queued queues its new fragments; otherwise every
         fragment but the first largest is queued.  Every decision reads
         positions, sizes and counts, never vertex labels, so the ordered
         partition commutes with relabelling.  A split swaps the hit
@@ -226,66 +240,68 @@ class _Search:
         the cell's size; the missed ones keep their places and
         ``start_of``.  Returns the starts of the cells split.
         """
-        adj = self.adj
+        rels = self.rels
         queue = deque(queue)
         queued = set(queue)
         split = []
         while queue:
             s = queue.popleft()
             queued.discard(s)
-            if length[s] == 1:
-                count = None  # a singleton hits each neighbour once
-                hits = adj[lab[s]]
-            else:
-                count = {}
-                for w in lab[s:s + length[s]]:
-                    for v in adj[w]:
-                        count[v] = count.get(v, 0) + 1
-                hits = count
-            touched = {}
-            for v in hits:
-                c = start_of[v]
-                if length[c] > 1:
-                    if c in touched:
-                        touched[c].append(v)
+            size = length[s]
+            splitter = lab[s:s + size]
+            for adj in rels:
+                if size == 1:
+                    count = None  # a singleton hits each neighbour once
+                    hits = adj[splitter[0]]
+                else:
+                    count = {}
+                    for w in splitter:
+                        for v in adj[w]:
+                            count[v] = count.get(v, 0) + 1
+                    hits = count
+                touched = {}
+                for v in hits:
+                    c = start_of[v]
+                    if length[c] > 1:
+                        if c in touched:
+                            touched[c].append(v)
+                        else:
+                            touched[c] = [v]
+                for c in sorted(touched):
+                    hit = touched[c]
+                    back = c + length[c] - len(hit)
+                    if count is None:
+                        if back == c:
+                            continue
+                        fragments = [hit]
                     else:
-                        touched[c] = [v]
-            for c in sorted(touched):
-                hit = touched[c]
-                size = length[c]
-                back = c + size - len(hit)
-                if count is None:
-                    if back == c:
-                        continue
-                    fragments = [hit]
-                else:
-                    hit.sort(key=count.__getitem__)
-                    if back == c and count[hit[0]] == count[hit[-1]]:
-                        continue
-                    fragments = [list(f) for _k, f in
-                                 groupby(hit, count.__getitem__)]
-                split.append(c)
-                for q, v in enumerate(hit, back):
-                    u, p = lab[q], pos[v]
-                    lab[p], pos[u] = u, p
-                    lab[q], pos[v] = v, q
-                starts = []
-                if back != c:  # the count-0 fragment
-                    length[c] = back - c
-                    starts.append(c)
-                for fragment in fragments:
-                    length[back] = len(fragment)
-                    if back != c:
-                        for v in fragment:
-                            start_of[v] = back
-                    starts.append(back)
-                    back += len(fragment)
-                if c in queued:
-                    del starts[0]
-                else:
-                    starts.remove(max(starts, key=length.__getitem__))
-                queue.extend(starts)
-                queued.update(starts)
+                        hit.sort(key=count.__getitem__)
+                        if back == c and count[hit[0]] == count[hit[-1]]:
+                            continue
+                        fragments = [list(f) for _k, f in
+                                     groupby(hit, count.__getitem__)]
+                    split.append(c)
+                    for q, v in enumerate(hit, back):
+                        u, p = lab[q], pos[v]
+                        lab[p], pos[u] = u, p
+                        lab[q], pos[v] = v, q
+                    starts = []
+                    if back != c:  # the count-0 fragment
+                        length[c] = back - c
+                        starts.append(c)
+                    for fragment in fragments:
+                        length[back] = len(fragment)
+                        if back != c:
+                            for v in fragment:
+                                start_of[v] = back
+                        starts.append(back)
+                        back += len(fragment)
+                    if c in queued:
+                        del starts[0]
+                    else:
+                        starts.remove(max(starts, key=length.__getitem__))
+                    queue.extend(starts)
+                    queued.update(starts)
         return split
 
     # -- search --------------------------------------------------------------
@@ -348,10 +364,12 @@ class _Search:
         below it, and return the vertices individualised.
 
         Every leaf below such a node is equivalent to that one, so no
-        other branch below it is searched.  The partition is equitable, so
-        between two 2-point cells there are no edges, a perfect matching
-        or all four, and a singleton is joined to both points of a cell or
-        to neither.  Swapping the two points of every cell in one
+        other branch below it is searched.  The partition is equitable for
+        every relation, so from one 2-point cell to another there are no
+        edges (arcs in one direction), a perfect matching or all four;
+        inside a 2-point cell both arcs are present or neither is; and a
+        singleton is joined to both points of a cell or to neither, in
+        each direction.  Swapping the two points of every cell in one
         component of the matching graph on the cells is then an
         automorphism that fixes every cell setwise: it maps each branch at
         a cell to the other, and the children's partitions keep the form.
@@ -402,7 +420,7 @@ class _Search:
         else:
             first_lab = self.first_lab
             aut = [first_lab[i] for i in pos]
-            if carries(aut, self.g.edges, self.adj):
+            if carries(aut, self.pairs, self.adj):
                 # leaves differ in the vertex some node individualized, so
                 # each one found is new and not the identity.  It maps the
                 # vertex individualized at each depth to the first path's,
@@ -470,24 +488,26 @@ def automorphism_group(g: Graph,
                              degree=g.n, base=s.base)
 
 
-def are_isomorphic(g1: Graph, g2: Graph,
+def are_isomorphic(g1: Graph | OrientedGraph, g2: Graph | OrientedGraph,
                    budget: int = DEFAULT_NODE_BUDGET
                    ) -> Tuple[bool, Optional[Permutation]]:
-    """Exact isomorphism decision, with an isomorphism as the witness.
+    """Exact isomorphism decision for two graphs or two oriented graphs,
+    with an isomorphism as the witness.
 
     After the order, size and degree checks, g1 is searched to its first
     leaf only, and g2 until a leaf's labelling, composed with that leaf's,
-    carries g1's edges into g2's adjacency: the composite is the witness,
-    the isomorphism the search finds, not the canonical one.  Refinement
-    reads no labels, so an isomorphism maps g1's search tree onto g2's
-    leaf by leaf, and a leaf of g2 that pruning skips is the image, under
-    an automorphism of g2, of a leaf that was compared and matches exactly
-    when the skipped one does.  Each search has its own node budget.
+    carries g1's edges (arcs) into g2's adjacency (out-neighbours): the
+    composite is the witness, the isomorphism the search finds.
+    Refinement reads no labels, so an isomorphism maps g1's search tree
+    onto g2's leaf by leaf, and a leaf of g2 that pruning skips is the
+    image, under an automorphism of g2, of a leaf that was compared and
+    matches exactly when the skipped one does.  Each search has its own
+    node budget.
     """
-    if g1.n != g2.n or len(g1.edges) != len(g2.edges):
-        return False, None
-    if sorted(len(a) for a in g1.adjacency) != sorted(
-            len(a) for a in g2.adjacency):
+    (n1, rels1, pairs1), (n2, rels2, pairs2) = _relations(g1), _relations(g2)
+    if n1 != n2 or len(pairs1) != len(pairs2) or [
+            sorted(map(len, adj)) for adj in rels1] != [
+            sorted(map(len, adj)) for adj in rels2]:
         return False, None
     pos1 = []
 
@@ -501,7 +521,7 @@ def are_isomorphic(g1: Graph, g2: Graph,
     def match(lab, _pos):
         nonlocal witness
         images = [lab[i] for i in pos1]
-        if carries(images, g1.edges, g2.adjacency):
+        if carries(images, pairs1, rels2[0]):
             witness = Permutation(tuple(images))
         return witness is not None
 
@@ -515,28 +535,8 @@ def is_arc_transitive(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
 
 
 def has_orbit_swapper(og: OrientedGraph) -> bool:
-    """Does some automorphism of the graph map the half-arc-transitive
-    orientation D = ``og`` onto its reverse, swapping the two paired arc
-    orbits?
-
-    One search decides it, on the doubled graph: vertex v becomes an
-    out-copy v and an in-copy n+v joined through a middle 2n+v, and arc
-    t -> h the edge t - n+h.  Middles have degree 2 and copies degree 3,
-    so every automorphism keeps the pairs {v, n+v}.  Copies of one kind
-    are adjacent only to copies of the other, so for each arc t -> h an
-    automorphism keeps the two kinds on the pair of t exactly when it
-    keeps them on the pair of h.  The graph is connected, so it keeps
-    the kinds on every pair or swaps them on every pair.  One that keeps
-    them is an automorphism of D; one that swaps them maps D onto its
-    reverse, and each such map of D arises this way.  Keeping or swapping
-    is a homomorphism onto a group of order at most 2, so some
-    automorphism swaps exactly when some generator does, that is, maps
-    out-copy 0 to an in-copy.  Only the generators are read, so no chain
-    is built.
-    """
-    n = og.graph.n
-    doubled = build_graph(3 * n, [
-        (t, n + h) for t, hs in enumerate(og.out_neighbors) for h in hs] + [
-        e for v in range(n) for e in ((v, 2 * n + v), (n + v, 2 * n + v))])
-    return any(n <= p(0) < 2 * n
-               for p in automorphism_group(doubled).generators)
+    """Does some automorphism of the graph map the orientation D = ``og``
+    onto its reverse, swapping the two paired arc orbits?  That is, is D
+    isomorphic to its reverse?"""
+    return are_isomorphic(og, OrientedGraph(og.graph, og.in_neighbors,
+                                            og.out_neighbors))[0]

@@ -105,28 +105,34 @@ def is_automorphism(g: Graph, p: Permutation) -> bool:
     return p.degree == g.n and carries(p.images, g.edges, g.adjacency)
 
 
-def arc_orbit(graph: Graph, group: GroupByGenerators) -> list:
-    """The orbit of the least arc, searched on the generators' image
-    tuples, starting with that arc; empty for a graph without edges.  The
-    group is transitive on arcs exactly when the orbit has 2|E| > 0
-    arcs."""
+def arc_orbit(graph: Graph, gens) -> list | None:
+    """The orbit of the least arc under the generators' image tuples, as
+    each vertex's out-neighbours in it (none for a graph without edges);
+    None once a generator maps one of its arcs to a non-edge, so it holds
+    only edges and a non-automorphism cannot grow it past 2|E| arcs."""
+    adj = graph.adjacency
+    out = [[] for _ in range(graph.n)]
     if not graph.edges:
-        return []
-    gens = [gen.images for gen in group.generators]
-    orbit = [graph.edges[0]]
-    seen = set(orbit)
+        return out
+    t0, h0 = graph.edges[0]
+    out[t0].append(h0)
+    orbit = [(t0, h0)]
     for t, h in orbit:
         for img in gens:
-            arc = (img[t], img[h])
-            if arc not in seen:
-                seen.add(arc)
-                orbit.append(arc)
-    return orbit
+            a, b = img[t], img[h]
+            if b not in out[a]:
+                if b not in adj[a]:
+                    return None
+                out[a].append(b)
+                orbit.append((a, b))
+    return out
 
 
 def arc_transitive(graph: Graph, group: GroupByGenerators) -> bool:
-    """Does the group have one orbit on the arcs, and are there any?"""
-    return 0 < len(arc_orbit(graph, group)) == 2 * len(graph.edges)
+    """Does the group have one orbit on the arcs, and are there any?  A
+    group that maps an edge to a non-edge has not."""
+    out = arc_orbit(graph, [gen.images for gen in group.generators])
+    return out is not None and 0 < sum(map(len, out)) == 2 * len(graph.edges)
 
 
 @dataclass(frozen=True)
@@ -141,28 +147,34 @@ class OrientedGraph:
 
     def __post_init__(self):
         """Raise ValueError unless each vertex has two out- and two
-        in-neighbours, its out-neighbours increasing, and each out-arc
-        t -> h has t among h's in-neighbours; then the 2n out-arcs are
-        the 2n in-arcs."""
+        in-neighbours, both increasing, and each out-arc t -> h has t
+        among h's in-neighbours; then the 2n out-arcs are the 2n
+        in-arcs."""
         out, inn, n = self.out_neighbors, self.in_neighbors, self.graph.n
         if not len(out) == len(inn) == n or set(map(len, out + inn)) - {2}:
             raise ValueError("orientation is not in/out 2-regular")
-        for t, (a, b) in enumerate(out):
+        for t, (a, b), (c, d) in zip(range(n), out, inn):
             if not 0 <= a < b < n:
                 raise ValueError("orientation is not in/out 2-regular")
+            if c > d:
+                raise ValueError(f"in-neighbours of {t} are not increasing")
             if t not in inn[a] or t not in inn[b]:
                 raise ValueError(f"an out-arc of {t} is not an in-arc of its head")
 
     @cached_property
+    def arcs(self) -> tuple:
+        """The arcs (t, h), by tail, then head."""
+        return tuple((t, h) for t, hs in enumerate(self.out_neighbors)
+                     for h in hs)
+
+    @cached_property
     def head_of(self) -> dict:
         """edge (u<v) -> head vertex"""
-        return {(t, h) if t < h else (h, t): h
-                for t, hs in enumerate(self.out_neighbors) for h in hs}
+        return {(t, h) if t < h else (h, t): h for t, h in self.arcs}
 
     def is_preserved_by(self, p: Permutation) -> bool:
-        out = self.out_neighbors
         return p.degree == self.graph.n and carries(
-            p.images, [(t, h) for t, hs in enumerate(out) for h in hs], out)
+            p.images, self.arcs, self.out_neighbors)
 
 
 def orientation_from_heads(g: Graph, head_of: dict) -> OrientedGraph:
@@ -211,9 +223,6 @@ def certify_hat(graph: Graph, group: GroupByGenerators) -> OrientedGraph:
     return the induced orientation D: the arc orbit containing the
     lexicographically least arc (t, h).
 
-    D is walked once on the generators' image tuples, and each vertex's
-    out- and in-neighbours in D are collected as its arcs are found.
-
     D alone decides all three transitivities.  Its tails are the vertex
     orbit of t, so the group is vertex-transitive exactly when every
     vertex is a tail in D.  Its edges are the edge orbit of {t, h}, so the
@@ -224,10 +233,9 @@ def certify_hat(graph: Graph, group: GroupByGenerators) -> OrientedGraph:
     each, and covers |D|.  Once it covers E, the group is arc-transitive
     exactly in the first case.
 
-    Generators are verified to be automorphisms rather than trusted.  The
-    walk checks that every generator image of an arc of D is an edge; the
-    arcs of D are edges, since the least arc is one and every new arc is
-    such an image.  Once D covers every edge, this shows that each
+    Generators are verified to be automorphisms rather than trusted.
+    ``arc_orbit`` walks D and checks that every generator image of an arc
+    of D is an edge.  Once D covers every edge, this shows that each
     generator maps every edge to an edge, so, being a bijection of the
     vertices, is an automorphism.  Only when a generator has the wrong
     degree, the walk meets a non-edge or D misses an edge is each
@@ -240,29 +248,16 @@ def certify_hat(graph: Graph, group: GroupByGenerators) -> OrientedGraph:
     if not graph.is_regular(4):
         raise ValueError("half-arc-transitivity analysis needs a tetravalent graph")
     graph.require_connected()
-    n, adj = graph.n, graph.adjacency
     gens = [gen.images for gen in group.generators]
-    if any(len(img) != n for img in gens):
+    if any(len(img) != graph.n for img in gens):
         _first_non_automorphism(graph, group)
 
-    out = [[] for _ in range(n)]
-    inn = [[] for _ in range(n)]
+    out = arc_orbit(graph, gens)
+    if out is None:  # a generator maps an edge to a non-edge
+        _first_non_automorphism(graph, group)
     t0, h0 = graph.edges[0]
-    out[t0].append(h0)
-    inn[h0].append(t0)
-    orbit = [(t0, h0)]
-    for t, h in orbit:
-        for img in gens:
-            a, b = img[t], img[h]
-            if b not in out[a]:
-                if b not in adj[a]:
-                    _first_non_automorphism(graph, group)
-                out[a].append(b)
-                inn[b].append(a)
-                orbit.append((a, b))
-
     both_arcs = t0 in out[h0]
-    covered = len(orbit) // 2 if both_arcs else len(orbit)
+    covered = sum(map(len, out)) // (2 if both_arcs else 1)
     if covered != len(graph.edges):
         _first_non_automorphism(graph, group)
     if not all(out):
@@ -271,6 +266,10 @@ def certify_hat(graph: Graph, group: GroupByGenerators) -> OrientedGraph:
         raise NotEdgeTransitiveError("group is not transitive on edges")
     if both_arcs:
         raise ArcTransitiveError("group acts transitively on arcs")
+    inn = [[] for _ in out]  # filled by increasing tail
+    for t, (a, b) in enumerate(out):
+        inn[a].append(t)
+        inn[b].append(t)
     return OrientedGraph(
         graph, tuple([(a, b) if a < b else (b, a) for a, b in out]),
-        tuple([(a, b) if a < b else (b, a) for a, b in inn]))
+        tuple(map(tuple, inn)))

@@ -1,6 +1,6 @@
 """Oracles shared by the tests, written independently of the library's
 edge check, stabilizer chains, block actions, jump-pair reading,
-splitter-queue refinement, doubled-graph swapper search, arc-orbit walk
+splitter-queue refinement, isomorphism search, arc-orbit walk
 and alternating-cycle traversal, and the scanning form of that refinement
 and the per-vertex multiplication lemma check, kept as their
 references."""
@@ -339,10 +339,11 @@ def scanning_refine(adj, lab, length, start_of, queue):
     return split
 
 
-def refine(adj, cells):
-    """The coarsest equitable refinement of the ordered partition ``cells``
-    by full rounds: each round splits every cell by the vector of its
-    vertices' neighbour counts in all cells, until a round splits none."""
+def refine(rels, cells):
+    """The coarsest refinement of the ordered partition ``cells`` that is
+    equitable for every adjacency in ``rels``, by full rounds: each round
+    splits every cell by the vector of its vertices' neighbour counts in
+    all cells, relation by relation, until a round splits none."""
     cells = [tuple(c) for c in cells]
     while True:
         index = {}
@@ -357,9 +358,10 @@ def refine(adj, cells):
                 continue
             sig = {}
             for v in cell:
-                counts = [0] * len(cells)
-                for w in adj[v]:
-                    counts[index[w]] += 1
+                counts = [0] * (len(cells) * len(rels))
+                for r, adj in enumerate(rels):
+                    for w in adj[v]:
+                        counts[r * len(cells) + index[w]] += 1
                 sig.setdefault(tuple(counts), []).append(v)
             if len(sig) == 1:
                 out.append(cell)

@@ -3,8 +3,8 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
-from networkx.algorithms.isomorphism import GraphMatcher
+from hypothesis import assume, given, settings, strategies as st
+from networkx.algorithms.isomorphism import DiGraphMatcher, GraphMatcher
 
 from hatkit import autsearch, cli
 from hatkit.autsearch import (
@@ -30,11 +30,13 @@ from hatkit.graphcore import (
     certify_hat,
     edge_key,
     is_automorphism,
+    orientation_from_arcs,
 )
 from hatkit.harness import instance_pool
-from hatkit.perm import Permutation, StabilizerChain
-from oracles import (closure, is_isomorphism, orbit_swapper, refine,
-                     reverse_orientation, scanning_refine)
+from hatkit.perm import GroupByGenerators, Permutation, StabilizerChain
+from oracles import (arc_act, arc_set, closure, is_isomorphism,
+                     orbit_swapper, preserves, refine, reverse_orientation,
+                     scanning_refine)
 from oracles import is_automorphism as automorphism_by_definition
 from test_harness import SMALL
 
@@ -126,36 +128,38 @@ def cells_of(lab, length):
 
 def refined_against_references(s, lab, length, start_of, queue):
     """Refine the partition in place, with ``pos`` filled from ``lab``, and
-    check it against the scanning reference, which must give the same
-    ordered cells, ``length``, ``start_of`` and split cells, and against
-    the full-round oracle, which must give the same set partition; ``pos``
-    must stay the inverse of ``lab``."""
+    check it against the full-round oracle, which must give the same set
+    partition, equitable for every relation; ``pos`` must stay the
+    inverse of ``lab``.  For a graph, the scanning reference must also
+    give the same ordered cells, ``length``, ``start_of`` and split
+    cells."""
     given = list(cells_of(lab, length).values())
     ref = lab[:], length[:], start_of[:]
-    ref_split = scanning_refine(s.adj, *ref, queue)
     pos = [0] * s.n
     for i, v in enumerate(lab):
         pos[v] = i
-    assert s.refine(lab, length, start_of, pos, queue) == ref_split
+    split = s.refine(lab, length, start_of, pos, queue)
     cells = cells_of(lab, length)
-    assert cells == cells_of(ref[0], ref[1])
-    assert (length, start_of) == (ref[1], ref[2])
+    if len(s.rels) == 1:
+        assert split == scanning_refine(s.adj, *ref, queue)
+        assert cells == cells_of(ref[0], ref[1])
+        assert (length, start_of) == (ref[1], ref[2])
     assert all(lab[pos[v]] == v for v in range(s.n))
     assert set(cells.values()) == set(
-        map(frozenset, refine(s.adj, given)))
+        map(frozenset, refine(s.rels, given)))
     assert all(v in cells[start_of[v]] for v in range(s.n))
 
 
 def check_refine(g):
-    """The refinement against its references at the root, after
-    individualising each vertex there, and at every node of the path that
-    individualises the least vertex of the first smallest cell down to a
-    discrete partition."""
+    """The refinement of a graph or an oriented graph against its
+    references at the root, after individualising each vertex there, and
+    at every node of the path that individualises the least vertex of the
+    first smallest cell down to a discrete partition."""
     s = _Search(g, budget=0)
     root = s.unit()
     refined_against_references(s, *root)
     lab, length, start_of, _queue = root
-    for v in range(g.n):
+    for v in range(s.n):
         if length[start_of[v]] > 1:
             refined_against_references(
                 s, *s.individualized(lab, length, start_of, v))
@@ -183,6 +187,18 @@ class TestRefinementOracle:
         # regular pool graphs never do
         nxg = nx.gnp_random_graph(n, p, seed=seed)
         check_refine(build_graph(n, [edge_key(u, v) for u, v in nxg.edges()]))
+
+    def test_small_pool_orientations(self):
+        for _key, rec in instance_pool(SMALL):
+            check_refine(rec.orientation)
+            check_refine(reverse_orientation(rec.orientation))
+
+    @given(st.integers(5, 16), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_random_orientations(self, n, seed):
+        og = random_orientation(n, seed)
+        assume(og is not None)
+        check_refine(og)
 
 
 class TestLargerRelabeling:
@@ -370,17 +386,119 @@ class TestOrbitSwapper:
 
     def test_small_pool_matches_listing(self):
         """Against the listing oracle on every small-grid instance whose
-        Aut has at most 5,000 elements, for both orientations."""
+        Aut has at most 5,000 elements, for both orientations and for
+        three random Eulerian orientations of the graph."""
         checked = 0
+        verdicts = set()
+        rng = random.Random(18)
         for key, rec in instance_pool(SMALL):
             aut = automorphism_group(rec.graph)
             if aut.order() > 5000:
                 continue
             checked += 1
             listed = closure(aut)
+            for og in (rec.orientation, reverse_orientation(rec.orientation),
+                       *(euler_orientation(rec.graph, rng) for _ in range(3))):
+                want = orbit_swapper(og, listed)
+                assert has_orbit_swapper(og) == want, key
+                verdicts.add(want)
+        assert checked == 27 and verdicts == {True, False}
+
+
+def euler_orientation(g, rng):
+    """A connected graph of even degrees oriented along an Euler circuit,
+    the edges taken in random order, so in- and out-degree 2 everywhere
+    on a tetravalent graph."""
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    nxg = nx.Graph(edges)
+    return orientation_from_arcs(g, list(nx.eulerian_circuit(
+        nxg, source=rng.randrange(g.n))))
+
+
+def random_orientation(n, seed):
+    """A random 4-regular graph on n vertices with an Euler orientation;
+    None when the graph drawn is disconnected."""
+    nxg = nx.random_regular_graph(4, n, seed=seed)
+    if not nx.is_connected(nxg):
+        return None
+    g = build_graph(n, [edge_key(u, v) for u, v in nxg.edges()])
+    return euler_orientation(g, random.Random(seed))
+
+
+def relabel_orientation(og, p):
+    return orientation_from_arcs(relabel(og.graph, p),
+                                 [(p(t), p(h)) for t, h in og.arcs])
+
+
+def carries_arcs_onto_arcs(og1, og2, p):
+    """The definition: p has degree n and maps the arc set of ``og1``
+    onto that of ``og2``."""
+    return p.degree == og1.graph.n == og2.graph.n and {
+        arc_act(a, p) for a in arc_set(og1)} == arc_set(og2)
+
+
+class TestDigraphSearch:
+    """The search on an oriented graph, which refines by out- and
+    in-neighbours and carries arcs into out-neighbours at a leaf."""
+
+    @given(st.integers(5, 16), st.integers(0, 2 ** 32 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_isomorphism_against_networkx(self, n, seed, data):
+        """A relabelled copy, the reverse and a relabelled reverse, each
+        against networkx's digraph isomorphism; every witness carries arcs
+        onto arcs."""
+        og = random_orientation(n, seed)
+        assume(og is not None)
+        p = Permutation(tuple(data.draw(st.permutations(range(n)))))
+        rev = reverse_orientation(og)
+        digraph = nx.DiGraph(og.arcs)
+        for other in (relabel_orientation(og, p), rev,
+                      relabel_orientation(rev, p)):
+            same = nx.is_isomorphic(digraph, nx.DiGraph(other.arcs))
+            ok, w = are_isomorphic(og, other)
+            assert ok == same and (w is not None) == same
+            assert w is None or carries_arcs_onto_arcs(og, other, w)
+
+    @given(st.integers(5, 16), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_recorded_automorphisms_preserve_arcs(self, n, seed):
+        """Including the swaps ``_descend`` records unchecked; with them
+        the search's base reads off |Aut(D)|, as networkx counts it."""
+        og = random_orientation(n, seed)
+        assume(og is not None)
+        s = check_recorded_automorphisms(og)
+        group = GroupByGenerators(
+            tuple(Permutation(images) for images, _ in s.auts),
+            degree=n, base=s.base)
+        digraph = nx.DiGraph(og.arcs)
+        assert group.order() == sum(1 for _ in DiGraphMatcher(
+            digraph, digraph).isomorphisms_iter())
+
+    def test_small_pool_recorded_automorphisms(self):
+        recorded = 0
+        for _key, rec in instance_pool(SMALL):
             for og in (rec.orientation, reverse_orientation(rec.orientation)):
-                assert has_orbit_swapper(og) == orbit_swapper(og, listed), key
-        assert checked == 27
+                recorded += len(check_recorded_automorphisms(og).auts)
+        assert recorded > 0
+
+    def test_mixed_kinds_are_not_isomorphic(self):
+        g, grp = build_xo(XoParams(3, 9, 2))
+        og = certify_hat(g, grp)
+        assert are_isomorphic(og.graph, og) == (False, None)
+        assert are_isomorphic(og, og.graph) == (False, None)
+
+
+def check_recorded_automorphisms(og):
+    """Search the whole tree of ``og`` and check every automorphism it
+    recorded against the definition: it maps the arcs onto the arcs and
+    moves exactly its moved points."""
+    s = _Search(og, DEFAULT_NODE_BUDGET)
+    s.run()
+    for images, moved in s.auts:
+        assert preserves(og, Permutation(images))
+        assert sorted(moved) == [x for x, y in enumerate(images) if x != y]
+    return s
 
 
 class TestOrbitPruning:

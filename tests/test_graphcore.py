@@ -17,6 +17,7 @@ from hatkit.errors import (
 )
 from hatkit.graphcore import (
     OrientedGraph,
+    arc_transitive,
     build_graph,
     certify_hat,
     edge_key,
@@ -26,7 +27,7 @@ from hatkit.graphcore import (
 )
 from hatkit.harness import GridConfig, instance_pool
 from hatkit.perm import GroupByGenerators, Permutation
-from oracles import certified_heads, preserves, reverse_orientation
+from oracles import arc_act, certified_heads, preserves, reverse_orientation
 from oracles import is_automorphism as automorphism_by_definition
 from test_harness import SMALL
 
@@ -149,6 +150,13 @@ class TestOrientedGraph:
         out[0] = (1, 3)  # 0 is not an in-neighbour of 3
         with pytest.raises(ValueError, match="out-arc of 0 is not an in-arc"):
             OrientedGraph(og.graph, tuple(out), inn)
+
+    def test_swapped_in_tuple_rejected(self):
+        og = circulant_orientation(7)
+        inn = list(og.in_neighbors)
+        inn[3] = inn[3][::-1]
+        with pytest.raises(ValueError, match="in-neighbours of 3 are not"):
+            OrientedGraph(og.graph, og.out_neighbors, tuple(inn))
 
     def test_swapped_in_neighbours_rejected(self):
         """Swapping the in-neighbour tuples of two vertices keeps every
@@ -354,3 +362,46 @@ class TestCertifyHat:
         assert outcomes == {dict, NotAutomorphismError, ArcTransitiveError,
                             NotVertexTransitiveError, NotEdgeTransitiveError,
                             ValueError}
+
+
+def arc_orbit_size(g, group) -> int:
+    """The size of the least arc's orbit, closed under the generators arc
+    by arc."""
+    orbit = {g.edges[0]}
+    frontier = list(orbit)
+    while frontier:
+        arc = frontier.pop()
+        for gen in group.generators:
+            image = arc_act(arc, gen)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return len(orbit)
+
+
+class TestArcTransitive:
+    def test_matches_orbit_oracle(self):
+        """On the small-grid graphs with their half-arc-transitive group
+        and with Aut; some Aut is arc-transitive and some is not."""
+        verdicts = set()
+        for key, rec in instance_pool(SMALL):
+            g = rec.graph
+            for grp in (rec.group, automorphism_group(g)):
+                want = arc_orbit_size(g, grp) == 2 * len(g.edges)
+                assert arc_transitive(g, grp) == want, key
+                verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_non_automorphism_and_no_edges(self):
+        """A group that maps an edge to a non-edge is not arc-transitive,
+        though here its orbit of the least arc has 2|E| ordered pairs; nor
+        is any group on a graph without edges."""
+        g = build_graph(4, [(0, 1), (1, 2)])
+        rotation = GroupByGenerators((Permutation((1, 2, 3, 0)),))
+        assert arc_orbit_size(g, rotation) == 4 == 2 * len(g.edges)
+        assert not arc_transitive(g, rotation)
+        c4 = GroupByGenerators((Permutation((1, 2, 3, 0)),
+                                Permutation((3, 2, 1, 0))))
+        assert arc_transitive(cycle_graph(4), c4)
+        assert not arc_transitive(build_graph(3, []),
+                                  GroupByGenerators.trivial(3))
