@@ -49,7 +49,7 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .fileio import bundle_to_json, format_edgelist, to_dot
-from .graphcore import arc_transitive
+from .graphcore import arc_transitive, certify_hat
 
 _EXIT_CODES = (
     ((ParseError, ValueError, LoopEdgeError, DuplicateEdgeError,
@@ -162,6 +162,8 @@ def _emit_graph(g, args, group=None, params=None):
 
 def cmd_construct(args):
     g, grp, params = parse_instance(args.spec)
+    if params.get("family") in ("xo", "xe", "wreath"):
+        certify_hat(g, grp)  # no library-built generator leaves unchecked
     _emit_graph(g, args, group=grp, params=params)
 
 

@@ -29,13 +29,12 @@ def parse_edgelist(text: str) -> Graph:
         raise ParseError(f"bad header {lines[0]!r}", line=1)
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for k, ln in enumerate(lines[1:], start=2):
-        try:
-            u, v = (int(tok) for tok in ln.split())
-        except ValueError:
-            raise ParseError(f"bad edge line {ln!r}", line=k)
-        edges.append((u, v))
+    k = 1  # the number of the line being read, left at a bad one
+    try:
+        edges = [(int(u), int(v)) for ln in lines[1:] if (k := k + 1)
+                 for u, v in [ln.split()]]
+    except ValueError:
+        raise ParseError(f"bad edge line {lines[k - 1]!r}", line=k)
     return build_graph(n, edges)
 
 

@@ -142,8 +142,8 @@ class OrientedGraph:
     ``orientation_from_heads`` and ``orientation_from_arcs`` build one."""
 
     graph: Graph
-    out_neighbors: tuple = field(compare=False, repr=False)
-    in_neighbors: tuple = field(compare=False, repr=False)
+    out_neighbors: tuple = field(repr=False)
+    in_neighbors: tuple = field(compare=False, repr=False)  # follow from out
 
     def __post_init__(self):
         """Raise ValueError unless each vertex has two out- and two

@@ -102,12 +102,6 @@ def param_grid(cfg: GridConfig) -> list:
     return out
 
 
-def _build_params(p):
-    if isinstance(p, XoParams):
-        return build_xo(p)
-    return build_xe(p)
-
-
 def instance_pool(cfg: GridConfig) -> Iterable[
         Tuple[str, Union[Analysis, HatkitError, ValueError]]]:
     """Named analysis records: the layered grids (with their parameters),
@@ -115,11 +109,13 @@ def instance_pool(cfg: GridConfig) -> Iterable[
     arc-transitive graphs (which realize attachment number 2 with radius 3)
     and the extra files that carry a group.  A file that cannot be read
     yields its error in place of a record, so that a suite run reports it
-    against that instance alone.  Records are built one at a time and the
-    pool keeps no reference to them.
+    against that instance alone; so does a construction fault, as the
+    NotAutomorphismError of the record's certification.  Records are built
+    one at a time and the pool keeps no reference to them.
     """
     for p in param_grid(cfg):
-        yield str(p), Analysis(*_build_params(p), params=p)
+        build = build_xo if isinstance(p, XoParams) else build_xe
+        yield str(p), Analysis(*build(p), params=p)
     for n in cfg.wreath_n:
         yield f"wreath({n})", Analysis(build_wreath(n), wreath_hat_group(n))
     yield "Circ8(1,3)", Analysis(*special_circulant_k44())
@@ -302,21 +298,16 @@ def _row(key: str, check, rec: Analysis) -> InstanceResult:
 
 
 def _suite_iso_relations(cfg: GridConfig) -> SuiteReport:
-    """Parameter symmetry: q, -q, q^-1 and -q^-1 give isomorphic graphs."""
+    """Parameter symmetry: q, -q, q^-1 and -q^-1 give isomorphic graphs.
+    Each labelling's graph is built once per (m, r); labellings with the
+    same adjacency are one graph, and each graph of a class other than its
+    base is compared with the base by ``are_isomorphic``."""
     start = time.monotonic()
     results = []
-    certs = {}
-
-    def cert_of(p):
-        if p not in certs:
-            g, _grp = _build_params(p)
-            certs[p] = autsearch.canonical_form(g).cert
-        return certs[p]
-
     for m in cfg.xo_m:
         for r in cfg.xo_r:
             params = valid_xo_params(m, r)
-            qs = {p.q for p in params}
+            graphs = {p.q: build_xo(p)[0] for p in params}
             seen = set()
             for p in params:
                 cls = {p.q % r, (-p.q) % r,
@@ -325,14 +316,17 @@ def _suite_iso_relations(cfg: GridConfig) -> SuiteReport:
                 if key in seen:
                     continue
                 seen.add(key)
-                missing = cls - qs
+                missing = cls - graphs.keys()
                 if missing:
                     results.append(InstanceResult(
                         f"Xo({m},{r})-class{key}", "fail",
                         {"missing_q": sorted(missing)}))
                     continue
-                base = cert_of(XoParams(m, r, key))
-                ok = all(cert_of(XoParams(m, r, q)) == base for q in cls)
+                base = graphs[key]
+                others = {graphs[q].adjacency: graphs[q] for q in cls}
+                del others[base.adjacency]
+                ok = all(autsearch.are_isomorphic(base, g)[0]
+                         for g in others.values())
                 results.append(InstanceResult(
                     f"Xo({m},{r})-class{key}", "pass" if ok else "fail",
                     {"q_class": sorted(cls)}))

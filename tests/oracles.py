@@ -1,12 +1,14 @@
 """Oracles shared by the tests, written independently of the library's
 edge check, stabilizer chains, block actions, jump-pair reading,
 splitter-queue refinement, isomorphism search, arc-orbit walk
-and alternating-cycle traversal, and the scanning form of that refinement
-and the per-vertex multiplication lemma check, kept as their
-references."""
+and alternating-cycle traversal, and the scanning form of that refinement,
+the per-vertex multiplication lemma check and the certificate comparison
+of the iso-relations suite, kept as their references."""
 
 from collections import deque
 
+from hatkit.autsearch import canonical_form
+from hatkit.constructions import XoParams, build_xo, valid_xo_params
 from hatkit.errors import (
     AlternatingStructureError,
     ArcTransitiveError,
@@ -372,3 +374,40 @@ def refine(rels, cells):
         cells = out
         if not changed:
             return cells
+
+
+def iso_relation_rows(cfg, xo_params=valid_xo_params) -> list:
+    """The iso-relations suite's rows as (key, status, detail), decided by
+    canonical certificates: the class of q, -q, q^-1 and -q^-1 passes when
+    every member's ``canonical_form`` certificate equals its least
+    member's, and fails naming the members ``xo_params`` lacks."""
+    rows = []
+    certs = {}
+
+    def cert_of(p):
+        if p not in certs:
+            certs[p] = canonical_form(build_xo(p)[0]).cert
+        return certs[p]
+
+    for m in cfg.xo_m:
+        for r in cfg.xo_r:
+            params = xo_params(m, r)
+            qs = {p.q for p in params}
+            seen = set()
+            for p in params:
+                cls = {p.q % r, (-p.q) % r,
+                       pow(p.q, -1, r), (-pow(p.q, -1, r)) % r}
+                key = min(cls)
+                if key in seen:
+                    continue
+                seen.add(key)
+                name = f"Xo({m},{r})-class{key}"
+                if cls - qs:
+                    rows.append((name, "fail",
+                                 {"missing_q": sorted(cls - qs)}))
+                    continue
+                base = cert_of(XoParams(m, r, key))
+                ok = all(cert_of(XoParams(m, r, q)) == base for q in cls)
+                rows.append((name, "pass" if ok else "fail",
+                             {"q_class": sorted(cls)}))
+    return rows

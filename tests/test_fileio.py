@@ -58,6 +58,14 @@ class TestEdgeList:
         g = parse_edgelist("# a path\n3 2\n0 1\n1 2\n")
         assert g.edges == ((0, 1), (1, 2))
 
+    def test_bad_edge_line_after_comments_and_blanks(self):
+        """A bad edge line is named with its text and its number among the
+        lines that are neither blank nor comments."""
+        with pytest.raises(ParseError) as info:
+            parse_edgelist("# a path\n\n3 2\n# edges\n0 1\n\n 1  x \n")
+        assert info.value.line == 3
+        assert str(info.value) == "line 3: bad edge line '1  x'"
+
 
 class TestGraph6:
     @given(edge_lists)

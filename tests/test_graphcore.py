@@ -132,6 +132,16 @@ class TestOrientedGraph:
         og = circulant_orientation(7)
         assert og.head_of[(0, 1)] == 1 and 1 in og.out_neighbors[0]
 
+    def test_equality_reads_the_orientation(self):
+        """D differs from its reverse on the same graph, equals a rebuilt
+        copy of itself, and a set tells the two orientations apart."""
+        og = circulant_orientation(7)
+        rev = reverse_orientation(og)
+        copy = orientation_from_arcs(og.graph, og.arcs)
+        assert og != rev
+        assert og == copy and hash(og) == hash(copy)
+        assert len({og, rev}) == 2
+
     def test_unbalanced_orientation_rejected(self):
         g = build_circulant(7, {1, -1, 2, -2})
         # every edge pointed at its larger endpoint: not in/out 2-regular

@@ -14,6 +14,7 @@ from hatkit.constructions import (
     build_wreath,
     build_xo,
     special_circulant_k44,
+    valid_xo_params,
     wreath_hat_group,
 )
 from hatkit.fileio import bundle_to_json, format_edgelist
@@ -26,7 +27,7 @@ from hatkit.harness import (
     run_suites,
 )
 from hatkit.perm import GroupByGenerators, Permutation, StabilizerChain
-from oracles import closure, setwise_action
+from oracles import closure, iso_relation_rows, setwise_action
 from test_fileio import graph6
 
 SMALL = GridConfig(xo_m=(3,), xo_r=(5, 7, 9), xe_m=(4,), xe_r=(4, 6),
@@ -245,6 +246,72 @@ class TestIngestFailures:
                 assert rows.pop(f"file({bad})").status == "error"
             assert [(r.key, r.status, r.detail) for r in rows.values()] == \
                 [(r.key, r.status, r.detail) for r in clean.results]
+
+
+def _rows(report):
+    return [(r.key, r.status, r.detail) for r in report.results]
+
+
+class TestConstructionFault:
+    """A construction whose generator is no automorphism fails its own
+    instance alone: error rows in the suites, exit 4 on the command line."""
+
+    BAD = XoParams(3, 7, 2)
+
+    def break_construction(self, monkeypatch):
+        def build(p):
+            g, grp = build_xo(p)
+            if p == self.BAD:
+                # swaps (0, 0) and (0, 1), which share no neighbour
+                swap = Permutation((1, 0) + tuple(range(2, g.n)))
+                grp = GroupByGenerators((swap,) + grp.generators[1:],
+                                        degree=g.n)
+            return g, grp
+        monkeypatch.setattr(harness, "build_xo", build)
+        monkeypatch.setattr(cli, "build_xo", build)
+
+    def test_error_row_for_its_key_only(self, monkeypatch):
+        clean = run_suites(harness.SUITE_NAMES, SMALL)
+        self.break_construction(monkeypatch)
+        broken = run_suites(harness.SUITE_NAMES, SMALL)
+        for before, report in zip(clean, broken):
+            rows = {r.key: r for r in report.results}
+            if report.suite != "iso-relations":  # reads the graphs only
+                bad = rows.pop(str(self.BAD))
+                assert bad.status == "error", report.suite
+                assert bad.detail["error"] == "NotAutomorphismError"
+            assert [(r.key, r.status, r.detail) for r in rows.values()] == [
+                row for row in _rows(before) if row[0] != str(self.BAD)]
+
+    @pytest.mark.parametrize("command", ["analyze", "construct"])
+    def test_cli_exit_code(self, command, monkeypatch, capsys):
+        self.break_construction(monkeypatch)
+        assert cli.main([command, "xo:3,7,2"]) == 4
+        assert "NotAutomorphismError" in capsys.readouterr().err
+
+
+class TestIsoRelations:
+    """The suite's rows against the comparison of canonical certificates."""
+
+    def test_default_grid_matches_certificates(self):
+        cfg = GridConfig()
+        (report,) = run_suites(["iso-relations"], cfg)
+        assert _rows(report) == iso_relation_rows(cfg)
+
+    def test_missing_q_matches_certificates(self, monkeypatch):
+        """Valid q are closed under negation and inversion, so no grid
+        has a class with a missing member; dropping q = 2 from Xo(3, 7)'s
+        valid parameters makes the class {2, 3, 4, 5} one."""
+        def dropping(m, r):
+            return [p for p in valid_xo_params(m, r)
+                    if (m, r, p.q) != (3, 7, 2)]
+        monkeypatch.setattr(harness, "valid_xo_params", dropping)
+        cfg = GridConfig(xo_m=(3, 4), xo_r=(5, 7, 9))
+        (report,) = run_suites(["iso-relations"], cfg)
+        assert _rows(report) == iso_relation_rows(cfg, dropping)
+        assert ("Xo(3,7)-class2", "fail", {"missing_q": [2]}) in \
+            _rows(report)
+        assert not report.passed
 
 
 def _k4_arc_bundle(tmp_path):
