@@ -37,9 +37,14 @@ under the stabilizer in Aut: every other point of that orbit lies in the
 target cell and was pruned into the orbit, searched until a leaf matched
 the first one, giving an automorphism that maps the vertex to it, or,
 below a node with two-point cells, is the vertex's swap partner.  So
-|Aut| is the product of the basic orbit lengths, with no Schreier-Sims
-run; ``automorphism_group`` still checks every generator, on the edges at
-its moved points, since an edge between two fixed points maps to itself.
+|Aut| is the product of the basic orbit lengths, and Aut is
+arc-transitive exactly when the stabilizer of base[0] has its neighbours
+in one orbit and base[0]'s orbit holds every vertex with an edge: one
+union-find pass over the found maps gives both, with no Schreier-Sims
+run and no stabilizer chain.  A leaf's map is proved by the leaf check
+that accepts it; ``automorphism_group`` checks the others, the swaps of
+``_descend``, on the edges at their moved points, since an edge between
+two fixed points maps to itself.
 
 The search hands the first leaf, and every later leaf that gives no
 automorphism, to what its caller asked for; a leaf it skips is the image,
@@ -62,7 +67,7 @@ search by returning true from its leaf handler, which empties the stack.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Callable, Optional, Tuple
 
@@ -198,6 +203,7 @@ class _Search:
         self.identity = tuple(range(self.n))
         self.pos = [0] * self.n
         self.auts: list = []  # (images, moved points) of each automorphism
+        self.proved = set()  # indices in auts of the maps a leaf check proved
         self.base: Optional[tuple] = None  # the first path
         self.first_lab: Optional[list] = None
 
@@ -231,13 +237,14 @@ class _Search:
 
         A splitter's vertices are read once; then, relation by relation,
         it splits each cell it touches by the number of neighbours its
-        vertices have in it, fragments in increasing count.  A split cell
-        that is still queued queues its new fragments; otherwise every
-        fragment but the first largest is queued.  Every decision reads
-        positions, sizes and counts, never vertex labels, so the ordered
-        partition commutes with relabelling.  A split swaps the hit
-        vertices to the end of the cell, so it costs time in them, not in
-        the cell's size; the missed ones keep their places and
+        vertices have in it, fragments in increasing count; a singleton
+        hits each neighbour once, so it needs no count and cuts a cell in
+        two.  A split cell that is still queued queues its new fragments;
+        otherwise every fragment but the first largest is queued.  Every
+        decision reads positions, sizes and counts, never vertex labels,
+        so the ordered partition commutes with relabelling.  A split swaps
+        the hit vertices to the end of the cell, so it costs time in them,
+        not in the cell's size; the missed ones keep their places and
         ``start_of``.  Returns the starts of the cells split.
         """
         rels = self.rels
@@ -248,19 +255,42 @@ class _Search:
             s = queue.popleft()
             queued.discard(s)
             size = length[s]
+            if size == 1:  # hits each neighbour once: one fragment per cell
+                w = lab[s]
+                for adj in rels:
+                    touched = {}
+                    for v in adj[w]:
+                        c = start_of[v]
+                        if length[c] > 1:
+                            if c in touched:
+                                touched[c].append(v)
+                            else:
+                                touched[c] = [v]
+                    for c in sorted(touched):
+                        hit = touched[c]
+                        back = c + length[c] - len(hit)
+                        if back == c:
+                            continue
+                        split.append(c)
+                        for q, v in enumerate(hit, back):
+                            u, p = lab[q], pos[v]
+                            lab[p], pos[u] = u, p
+                            lab[q], pos[v] = v, q
+                            start_of[v] = back
+                        length[c] = back - c
+                        length[back] = len(hit)
+                        t = back if c in queued or back - c >= len(hit) else c
+                        queue.append(t)
+                        queued.add(t)
+                continue
             splitter = lab[s:s + size]
             for adj in rels:
-                if size == 1:
-                    count = None  # a singleton hits each neighbour once
-                    hits = adj[splitter[0]]
-                else:
-                    count = {}
-                    for w in splitter:
-                        for v in adj[w]:
-                            count[v] = count.get(v, 0) + 1
-                    hits = count
+                count = {}
+                for w in splitter:
+                    for v in adj[w]:
+                        count[v] = count.get(v, 0) + 1
                 touched = {}
-                for v in hits:
+                for v in count:
                     c = start_of[v]
                     if length[c] > 1:
                         if c in touched:
@@ -270,16 +300,11 @@ class _Search:
                 for c in sorted(touched):
                     hit = touched[c]
                     back = c + length[c] - len(hit)
-                    if count is None:
-                        if back == c:
-                            continue
-                        fragments = [hit]
-                    else:
-                        hit.sort(key=count.__getitem__)
-                        if back == c and count[hit[0]] == count[hit[-1]]:
-                            continue
-                        fragments = [list(f) for _k, f in
-                                     groupby(hit, count.__getitem__)]
+                    hit.sort(key=count.__getitem__)
+                    if back == c and count[hit[0]] == count[hit[-1]]:
+                        continue
+                    fragments = [list(f) for _k, f in
+                                 groupby(hit, count.__getitem__)]
                     split.append(c)
                     for q, v in enumerate(hit, back):
                         u, p = lab[q], pos[v]
@@ -430,6 +455,7 @@ class _Search:
                 common = next(d for d, frame in enumerate(stack)
                               if frame.vertex != self.base[d])
                 del stack[common + 1:]
+                self.proved.add(len(self.auts))
                 self._record((tuple(aut), [x for x, y in enumerate(aut)
                                            if x != y]), stack)
                 return
@@ -468,24 +494,74 @@ def canonical_form(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> CanonicalForm
 
     _Search(g, budget, keep_least).run()
     cert, labeling = best
-    return CanonicalForm(labeling=Permutation(tuple(labeling)), cert=cert)
+    return CanonicalForm(labeling=Permutation.unchecked(tuple(labeling)),
+                         cert=cert)
+
+
+@dataclass
+class AutomorphismGroup(GroupByGenerators):
+    """Aut of a graph as the search found it, with the facts the search
+    established: its order, so ``order`` builds no chain, and whether it
+    has one orbit on the arcs."""
+
+    arc_transitive: bool = field(default=False, compare=False)
+
+
+def _basic_orbits(adjacency, base, auts) -> tuple:
+    """|Aut| and, when base[0] has a neighbour, the arc verdict, read off
+    the basic orbits of the found maps, a strong generating set for the
+    base (Seress, *Permutation Group Algorithms*, 2003, ch. 4).  Each map
+    joins its moved points in one union-find at the level of the first
+    base point it moves, deepest level first, so the class of base[i]
+    after level i is its basic orbit; the maps of levels 1 and on
+    generate the stabilizer of base[0].  A map that fixes the whole base
+    is the identity, since the first leaf is discrete."""
+    depth = {b: i for i, b in enumerate(base)}
+    levels = [[] for _ in range(len(base) + 1)]
+    for images, moved in auts:
+        levels[min((depth[x] for x in moved if x in depth),
+                   default=len(base))].append((images, moved))
+    orbit, size = {}, {}
+    order = 1
+    for i in reversed(range(len(base))):
+        if i == 0:
+            around = {_find(orbit, v) for v in adjacency[base[0]]}
+        for images, moved in levels[i]:
+            for x in moved:
+                a, b = _find(orbit, x), _find(orbit, images[x])
+                if a != b:
+                    orbit[a] = b
+                    size[b] = size.get(b, 1) + size.pop(a, 1)
+        order *= size.get(_find(orbit, base[i]), 1)
+    if not base or not adjacency[base[0]]:
+        return order, None
+    return order, len(around) == 1 and size.get(
+        _find(orbit, base[0]), 1) == sum(1 for nbrs in adjacency if nbrs)
 
 
 def automorphism_group(g: Graph,
-                       budget: int = DEFAULT_NODE_BUDGET) -> GroupByGenerators:
-    """Full automorphism group: its generators are the verified
-    automorphisms the search found, a strong generating set for the first
-    path as base, so order and membership need no Schreier-Sims run."""
+                       budget: int = DEFAULT_NODE_BUDGET) -> AutomorphismGroup:
+    """Full automorphism group: its generators are the automorphisms the
+    search found, a strong generating set for the first path as base, so
+    order, the arc verdict and membership need no Schreier-Sims run.  The
+    maps no leaf check proved are checked here.  Only when base[0] is
+    isolated, so that the base holds no stabilizer of a vertex with an
+    edge, is the arc verdict the arc-orbit walk."""
     s = _Search(g, budget)
     s.run()
     for k, (images, moved) in enumerate(s.auts):
-        if not _carried_at_moved(g.adjacency, images, moved):
+        if k not in s.proved and not _carried_at_moved(g.adjacency, images,
+                                                       moved):
             raise InconsistentError(
                 {"stage": "automorphism search", "generator": k,
                  "moved": len(moved)},
                 f"automorphism search: found map {k} is not an automorphism")
-    return GroupByGenerators(tuple(Permutation(images) for images, _ in s.auts),
-                             degree=g.n, base=s.base)
+    order, arc = _basic_orbits(g.adjacency, s.base, s.auts)
+    group = AutomorphismGroup(
+        tuple(Permutation.unchecked(images) for images, _ in s.auts),
+        degree=g.n, base=s.base, _order=order)
+    group.arc_transitive = arc_transitive(g, group) if arc is None else arc
+    return group
 
 
 def are_isomorphic(g1: Graph | OrientedGraph, g2: Graph | OrientedGraph,
@@ -522,7 +598,7 @@ def are_isomorphic(g1: Graph | OrientedGraph, g2: Graph | OrientedGraph,
         nonlocal witness
         images = [lab[i] for i in pos1]
         if carries(images, pairs1, rels2[0]):
-            witness = Permutation(tuple(images))
+            witness = Permutation.unchecked(tuple(images))
         return witness is not None
 
     _Search(g2, budget, match).run()
@@ -531,7 +607,7 @@ def are_isomorphic(g1: Graph | OrientedGraph, g2: Graph | OrientedGraph,
 
 def is_arc_transitive(g: Graph, budget: int = DEFAULT_NODE_BUDGET) -> bool:
     """True iff the full automorphism group has a single orbit on arcs."""
-    return arc_transitive(g, automorphism_group(g, budget))
+    return automorphism_group(g, budget).arc_transitive
 
 
 def has_orbit_swapper(og: OrientedGraph) -> bool:

@@ -49,7 +49,7 @@ from .errors import (
     SearchBudgetExceededError,
 )
 from .fileio import bundle_to_json, format_edgelist, to_dot
-from .graphcore import arc_transitive, certify_hat
+from .graphcore import certify_hat
 
 _EXIT_CODES = (
     ((ParseError, ValueError, LoopEdgeError, DuplicateEdgeError,
@@ -218,7 +218,7 @@ def cmd_aut(args):
     _emit({
         "order": aut.order(),
         "generators": [list(p.images) for p in aut.generators],
-        "arc_transitive": arc_transitive(g, aut),
+        "arc_transitive": aut.arc_transitive,
     }, args)
 
 

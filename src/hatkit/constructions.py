@@ -251,18 +251,24 @@ def valid_xo_params(m: int, r: int) -> list:
 
 
 def valid_xe_params(m: int, r: int) -> list:
-    """All (q, t) giving valid even-radius parameters for this (m, r)."""
+    """All (q, t) giving valid even-radius parameters for this (m, r), by
+    q, then t: for each unit q with q^m = 1, the solutions t of
+    2t = -(1 + q + ... + q^(m-1)) (mod r), one for odd r and none or two
+    for even r, that satisfy t(q-1) = 0."""
     out = []
     if r < 4 or m < 4 or m % 2 != 0:
         return out
     for q in range(1, r):
-        for t in range(r):
-            p = XeParams(m, r, q, t)
-            try:
-                p.validate()
-            except InvalidParamsError:
-                continue
-            out.append(p)
+        if gcd(q, r) != 1 or pow(q, m, r) != 1:
+            continue
+        twice = -geometric_sum(q, m, r) % r  # 2t, mod r
+        if r % 2:
+            ts = (twice * (r + 1) // 2 % r,)
+        elif twice % 2:
+            continue
+        else:
+            ts = (twice // 2, twice // 2 + r // 2)
+        out.extend(XeParams(m, r, q, t) for t in ts if t * (q - 1) % r == 0)
     return out
 
 

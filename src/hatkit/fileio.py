@@ -9,6 +9,7 @@ Bundle JSON: {"n": ..., "edges": [[u, v], ...], "generators": [[...], ...],
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Optional, Tuple
 
 from .errors import BadPermutationError, ParseError
@@ -124,14 +125,6 @@ def sparse6_decode(s: str) -> Graph:
 
 # -- permutations and bundles --------------------------------------------------
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_int_list(x) -> bool:
-    return isinstance(x, list) and all(map(_is_int, x))
-
-
 def bundle_to_json(g: Graph, group: Optional[GroupByGenerators] = None,
                    params: Optional[dict] = None) -> str:
     doc = {"n": g.n, "edges": [list(e) for e in g.edges]}
@@ -151,8 +144,11 @@ def bundle_from_json(text: str):
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ParseError("bundle JSON needs 'n' and 'edges'")
     edges = doc["edges"]
-    if not (_is_int(doc["n"]) and isinstance(edges, list)
-            and all(_is_int_list(e) and len(e) == 2 for e in edges)):
+    # json.loads makes exact types, so each check is a set of types
+    if not (type(doc["n"]) is int and type(edges) is list
+            and set(map(type, edges)) <= {list}
+            and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= {int}):
         raise ParseError("bundle 'n' must be an integer and 'edges' a list "
                          "of integer pairs")
     g = build_graph(doc["n"], [tuple(e) for e in edges])
@@ -162,7 +158,7 @@ def bundle_from_json(text: str):
             raise ParseError("bundle 'generators' must be a list")
         gens = []
         for images in doc["generators"]:
-            if not _is_int_list(images):
+            if not (type(images) is list and set(map(type, images)) <= {int}):
                 raise BadPermutationError(
                     f"generator {images!r} is not a list of integers")
             if len(images) != g.n:

@@ -138,8 +138,8 @@ def arc_transitive(graph: Graph, group: GroupByGenerators) -> bool:
 @dataclass(frozen=True)
 class OrientedGraph:
     """A tetravalent graph plus a head choice per edge, held as each
-    vertex's sorted out- and in-neighbours, two of each;
-    ``orientation_from_heads`` and ``orientation_from_arcs`` build one."""
+    vertex's sorted out- and in-neighbours, two of each; ``certify_hat``
+    and ``orientation_from_heads`` build one."""
 
     graph: Graph
     out_neighbors: tuple = field(repr=False)
@@ -198,16 +198,6 @@ def orientation_from_heads(g: Graph, head_of: dict) -> OrientedGraph:
         inn[h].append(t)
     return OrientedGraph(g, tuple(map(tuple, map(sorted, out))),
                          tuple(map(tuple, map(sorted, inn))))
-
-
-def orientation_from_arcs(g: Graph, arcs) -> OrientedGraph:
-    head_of = {}
-    for t, h in arcs:
-        key = edge_key(t, h)
-        if key in head_of:
-            raise ValueError(f"edge {key} oriented twice")
-        head_of[key] = h
-    return orientation_from_heads(g, head_of)
 
 
 def _first_non_automorphism(graph: Graph, group: GroupByGenerators) -> None:

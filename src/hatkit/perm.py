@@ -37,6 +37,15 @@ class Permutation:
         return Permutation(tuple(range(n)))
 
     @staticmethod
+    def unchecked(images: tuple) -> "Permutation":
+        """The permutation with this image tuple, which is a bijection by
+        construction, such as a search's composite of two labellings,
+        taken unchecked."""
+        p = object.__new__(Permutation)
+        object.__setattr__(p, "images", images)
+        return p
+
+    @staticmethod
     def from_mapping(n: int, mapping: Callable[[int], int]) -> "Permutation":
         return Permutation(tuple(mapping(x) for x in range(n)))
 
@@ -51,17 +60,8 @@ class Permutation:
         """Left-to-right composition: (p * q)(x) = q(p(x))."""
         return compose(self, other)
 
-    def inverse(self) -> "Permutation":
-        return Permutation(_inverse(self.images))
-
-    def is_identity(self) -> bool:
-        return all(y == x for x, y in enumerate(self.images))
-
     def order(self) -> int:
         return _order(self.images)
-
-    def fixed_points(self) -> list:
-        return [x for x, y in enumerate(self.images) if x == y]
 
     def __repr__(self):
         return f"Permutation({list(self.images)})"
@@ -314,7 +314,8 @@ class GroupByGenerators:
     first use, or a level of the chain ``action_kernel`` builds.
 
     ``base``, when given, is a base for which the generators are a strong
-    generating set, so the chain built on it needs no Schreier-Sims run."""
+    generating set, so the chain built on it needs no Schreier-Sims run;
+    ``_order``, when given, is the order, so ``order`` builds no chain."""
 
     generators: tuple
     degree: int = field(default=None)
@@ -322,6 +323,7 @@ class GroupByGenerators:
     _elements: Optional[frozenset] = field(default=None, repr=False, compare=False)
     _chain: Optional[StabilizerChain | BlockChainLevel] = field(
         default=None, repr=False, compare=False)
+    _order: Optional[int] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.generators = tuple(self.generators)
@@ -358,7 +360,9 @@ class GroupByGenerators:
         return self._chain
 
     def order(self) -> int:
-        return self.chain.order()
+        if self._order is None:
+            self._order = self.chain.order()
+        return self._order
 
     def __contains__(self, p: Permutation) -> bool:
         return p.degree == self.degree and p.images in self.chain

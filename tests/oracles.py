@@ -3,7 +3,8 @@ edge check, stabilizer chains, block actions, jump-pair reading,
 splitter-queue refinement, isomorphism search, arc-orbit walk
 and alternating-cycle traversal, and the scanning form of that refinement,
 the per-vertex multiplication lemma check and the certificate comparison
-of the iso-relations suite, kept as their references."""
+of the iso-relations suite, kept as their references; and the permutation
+and orientation helpers only the tests use."""
 
 from collections import deque
 
@@ -19,6 +20,33 @@ from hatkit.errors import (
 )
 from hatkit.graphcore import edge_key, orientation_from_heads
 from hatkit.perm import Permutation
+
+
+def inverse(p):
+    """The permutation that undoes p."""
+    images = [0] * p.degree
+    for x, y in enumerate(p.images):
+        images[y] = x
+    return Permutation(tuple(images))
+
+
+def is_identity(p) -> bool:
+    return all(y == x for x, y in enumerate(p.images))
+
+
+def fixed_points(p) -> list:
+    return [x for x, y in enumerate(p.images) if x == y]
+
+
+def orientation_from_arcs(g, arcs):
+    """The orientation of g with these arcs, one per edge."""
+    head_of = {}
+    for t, h in arcs:
+        key = edge_key(t, h)
+        if key in head_of:
+            raise ValueError(f"edge {key} oriented twice")
+        head_of[key] = h
+    return orientation_from_heads(g, head_of)
 
 
 def is_isomorphism(g1, g2, p) -> bool:

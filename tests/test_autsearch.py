@@ -1,5 +1,7 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -26,17 +28,17 @@ from hatkit.constructions import (
 )
 from hatkit.errors import InconsistentError, SearchBudgetExceededError
 from hatkit.graphcore import (
+    arc_transitive,
     build_graph,
     certify_hat,
     edge_key,
     is_automorphism,
-    orientation_from_arcs,
 )
 from hatkit.harness import instance_pool
 from hatkit.perm import GroupByGenerators, Permutation, StabilizerChain
 from oracles import (arc_act, arc_set, closure, is_isomorphism,
-                     orbit_swapper, preserves, refine, reverse_orientation,
-                     scanning_refine)
+                     orbit_swapper, orientation_from_arcs, preserves, refine,
+                     reverse_orientation, scanning_refine)
 from oracles import is_automorphism as automorphism_by_definition
 from test_harness import SMALL
 
@@ -621,3 +623,104 @@ class TestJumpBack:
     def test_disjoint_edges(self):
         g = build_graph(100, [(2 * i, 2 * i + 1) for i in range(50)])
         assert automorphism_group(g).order() == 2 ** 50 * math.factorial(50)
+
+
+SYMMETRY_REFERENCE = (Path(__file__).resolve().parents[1] / "hatbench"
+                      / "symmetry_reference.json")
+
+
+def seeded_graphs(count, seed):
+    """G(n, p) graphs with isolated vertices added, edgeless graphs and
+    disjoint unions of random regular graphs, each relabelled at random."""
+    rng = random.Random(seed)
+    for k in range(count):
+        if k % 10 == 0:
+            nxg = nx.empty_graph(rng.randint(0, 5))
+        elif k % 2:
+            n = rng.randint(2, 14)
+            nxg = nx.gnp_random_graph(n, rng.uniform(0.1, 0.7),
+                                      seed=rng.randrange(2 ** 32))
+            nxg.add_nodes_from(range(n, n + rng.randint(1, 3)))
+        else:
+            nxg = nx.empty_graph(0)
+            for _ in range(rng.randint(1, 3)):
+                d = rng.choice((2, 3, 4))
+                n = rng.randint(d + 1, 10)
+                n += n * d % 2
+                nxg = nx.disjoint_union(nxg, nx.random_regular_graph(
+                    d, n, seed=rng.randrange(2 ** 32)))
+        labels = list(range(nxg.number_of_nodes()))
+        rng.shuffle(labels)
+        yield build_graph(len(labels), [edge_key(labels[u], labels[v])
+                                        for u, v in nxg.edges()])
+
+
+class TestBasicOrbits:
+    """|Aut| and the arc verdict read off the search's basic orbits."""
+
+    @staticmethod
+    def check(g):
+        """Against a Schreier-Sims run on the same generators and the
+        arc-orbit walk; returns whether base[0] has a neighbour."""
+        aut = automorphism_group(g)
+        images = [p.images for p in aut.generators]
+        assert aut.order() == StabilizerChain(images, g.n).complete().order()
+        assert aut.arc_transitive == arc_transitive(g, aut)
+        assert aut.arc_transitive == is_arc_transitive(g)
+        return bool(aut.base) and bool(g.adjacency[aut.base[0]])
+
+    def test_seeded_graphs(self):
+        read = [self.check(g) for g in seeded_graphs(300, 21)]
+        # both the basic-orbit verdict and the walk for an isolated base[0]
+        assert 100 < sum(read) < 300
+
+    def test_symmetry_specs(self):
+        reference = json.loads(SYMMETRY_REFERENCE.read_text())["aut"]
+        for table in reference.values():
+            for spec, want in table.items():
+                g, _, _ = cli.parse_instance(spec)
+                assert self.check(g), spec
+                aut = automorphism_group(g)
+                assert {"order": aut.order(),
+                        "arc_transitive": aut.arc_transitive} == want, spec
+
+    def test_a_descend_swap_is_checked(self, monkeypatch):
+        """No leaf check proves the swaps ``_descend`` records, so
+        ``automorphism_group`` checks them."""
+        descend = _Search._descend
+
+        def corrupted(self, stack, *partition):
+            before = len(self.auts)
+            path = descend(self, stack, *partition)
+            if len(self.auts) > before:
+                swap = list(range(self.n))
+                swap[0], swap[1] = 1, 0
+                self.auts[-1] = (tuple(swap), [0, 1])
+            return path
+
+        monkeypatch.setattr(_Search, "_descend", corrupted)
+        with pytest.raises(InconsistentError):
+            automorphism_group(cycle_graph(7))
+
+    def test_order_builds_no_chain(self, monkeypatch):
+        g, _ = build_xo(XoParams(4, 101, 10))
+        aut = automorphism_group(g)
+        init = StabilizerChain.__init__
+
+        def no_chain(*_args, **_kwargs):
+            raise AssertionError("a chain was built")
+
+        monkeypatch.setattr(StabilizerChain, "__init__", no_chain)
+        assert aut.order() == 1616 and aut.arc_transitive
+        assert is_arc_transitive(g) and aut._chain is None
+        monkeypatch.setattr(StabilizerChain, "__init__", init)
+        rng = random.Random(0)
+        for _ in range(20):
+            p = Permutation.identity(g.n)
+            for _ in range(rng.randint(1, 6)):
+                p = p * rng.choice(aut.generators)
+            assert p in aut
+        q = list(range(g.n))
+        q[0], q[1] = 1, 0
+        assert Permutation(tuple(q)) not in aut
+        assert aut.chain.order() == aut.order()

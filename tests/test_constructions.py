@@ -56,6 +56,20 @@ class TestParams:
         pairs = {(p.q, p.t) for p in valid_xe_params(4, 20)}
         assert (3, 0) in pairs and (3, 10) in pairs
 
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    def test_xe_params_match_the_scan(self, m):
+        """The solved t against every (q, t) that validates, in order."""
+        for r in range(4, 61):
+            scan = []
+            for q in range(1, r):
+                for t in range(r):
+                    try:
+                        XeParams(m, r, q, t).validate()
+                    except InvalidParamsError:
+                        continue
+                    scan.append(XeParams(m, r, q, t))
+            assert valid_xe_params(m, r) == scan, r
+
 
 class TestBuildFamilies:
     def test_xo_shape(self):

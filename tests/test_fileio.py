@@ -146,6 +146,21 @@ class TestBundles:
         with pytest.raises(error):
             bundle_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("edges", [
+        [[0, 1], [1, True]], [[0, 1.0]], [[0, 1, 2]], [[0, 1], 5]],
+        ids=["bool", "float", "triple", "not-a-list"])
+    def test_bad_edge_message(self, edges):
+        with pytest.raises(ParseError, match=r"^bundle 'n' must be an integer "
+                           r"and 'edges' a list of integer pairs$"):
+            bundle_from_json(json.dumps({"n": 3, "edges": edges}))
+
+    def test_first_bad_generator_named(self):
+        doc = {"n": 3, "edges": [[0, 1]],
+               "generators": [[0, 1, 2], [0, True, 2], [1.5, 0, 2]]}
+        with pytest.raises(BadPermutationError, match=r"^generator \[0, True, "
+                           r"2\] is not a list of integers$"):
+            bundle_from_json(json.dumps(doc))
+
     def test_degree_mismatch(self):
         doc = {"n": 4, "edges": [[0, 1]], "generators": [[1, 0]]}
         with pytest.raises(BadPermutationError):

@@ -22,12 +22,12 @@ from hatkit.graphcore import (
     certify_hat,
     edge_key,
     is_automorphism,
-    orientation_from_arcs,
     orientation_from_heads,
 )
 from hatkit.harness import GridConfig, instance_pool
 from hatkit.perm import GroupByGenerators, Permutation
-from oracles import arc_act, certified_heads, preserves, reverse_orientation
+from oracles import (arc_act, certified_heads, orientation_from_arcs,
+                     preserves, reverse_orientation)
 from oracles import is_automorphism as automorphism_by_definition
 from test_harness import SMALL
 
