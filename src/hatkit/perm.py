@@ -1,4 +1,7 @@
-"""Permutations and finite permutation groups given by generators.
+"""Permutations and finite permutation groups given by generators, whose
+order and membership come from the stabilizer chains of ``chain``; and the
+kernels of a group's actions on partitions of its points, read from one
+chain whose base ends with pins, points that only the identity fixes.
 
 Action convention (used everywhere in hatkit): permutations act on the
 right, composed left to right.  For a point ``x`` and permutations ``p``,
@@ -9,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import lcm, prod
-from operator import itemgetter
+from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
+from .chain import StabilizerChain, _inverse, _mul
 from .errors import (
     BadPermutationError,
     BlocksNotInvariantError,
@@ -75,13 +78,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return Permutation(tuple(qi[y] for y in p.images))
 
 
-def _mul(p: tuple, q: tuple) -> tuple:
-    """Image tuple of p followed by q.  The chain only multiplies in groups
-    with a non-identity generator, so the degree is at least 2 and
-    ``itemgetter`` returns a tuple."""
-    return itemgetter(*p)(q)
-
-
 def _order(p: tuple) -> int:
     """The lcm of the cycle lengths of the image tuple p."""
     seen = [False] * len(p)
@@ -95,192 +91,6 @@ def _order(p: tuple) -> int:
         if length:
             out = lcm(out, length)
     return out
-
-
-def _inverse(p: tuple) -> tuple:
-    inv = [0] * len(p)
-    for x in range(len(p)):
-        inv[p[x]] = x
-    return tuple(inv)
-
-
-class StabilizerChain:
-    """A base and strong generating set on image tuples.
-
-    ``base`` starts with the given points; further points are appended as
-    needed, each the least point moved by the generator that needs it.
-    ``strong[i]`` holds the strong generators fixing ``base[:i]``.
-    ``tree[i]`` is a Schreier tree of the orbit of ``base[i]`` under
-    ``strong[i]``: it maps ``base[i]`` to None and each other orbit point
-    to (b, k), the point whose image it is under ``strong[i][k]``.
-    ``transversal(i, c)`` reads off the tree a pair (u, u^-1) with u
-    carrying ``base[i]`` to c, and keeps every pair it builds, so order
-    and the orbits cost no product and a sift builds only the pairs on
-    its way.
-
-    The constructor adds each generator to the levels up to the first
-    base point it moves, closing their orbits.  When the generators are
-    already a strong generating set for the base, as the automorphisms an
-    automorphism search finds are for its first path, that is the chain.
-    Otherwise ``complete`` runs the deterministic
-    Schreier-Sims algorithm (Sims 1970; Seress, *Permutation Group
-    Algorithms*, 2003, section 4.2) until ``strong[i]`` generates the
-    pointwise stabilizer G_i of ``base[:i]``.
-    """
-
-    def __init__(self, generators: Iterable[tuple], degree: int,
-                 base: Iterable[int] = ()):
-        self.identity = tuple(range(degree))
-        self.base = []
-        self.strong = []
-        self.tree = []
-        self._pairs = []  # per level: the (u, u^-1) built so far
-        self._inverses = {}  # id of a strong generator -> its inverse
-        # per level: how many strong generators the orbit is closed under
-        self._closed = []
-        # per level: (point, strong index) pairs whose Schreier generator
-        # sifts to the identity
-        self._checked = []
-        for b in base:
-            self._add_level(b)
-        for g in dict.fromkeys(generators):
-            if g != self.identity:
-                self._add_strong(g, 0)
-
-    def _add_level(self, b: int) -> None:
-        self.base.append(b)
-        self.strong.append([])
-        self.tree.append({b: None})
-        self._pairs.append({b: (self.identity, self.identity)})
-        self._closed.append(0)
-        self._checked.append(set())
-
-    def _add_strong(self, h: tuple, first: int) -> int:
-        """Add h, which fixes ``base[:first]``, to the levels from ``first``
-        to the first one whose base point it moves; if it fixes the whole
-        base, append its least moved point.  Returns that last level."""
-        last = next((i for i in range(first, len(self.base))
-                     if h[self.base[i]] != self.base[i]), None)
-        if last is None:
-            last = len(self.base)
-            self._add_level(next(x for x, y in enumerate(h) if x != y))
-        for level in range(first, last + 1):
-            self.strong[level].append(h)
-            self._extend(level)
-        return last
-
-    def _extend(self, i: int) -> None:
-        """Close the orbit of ``base[i]`` under ``strong[i]``: the points
-        already in it under the generators added since it was last closed,
-        the new points under all.  Existing tree entries never change, so
-        a sift that once reached the identity always does.  The Schreier
-        generator of a pair (b, k) that defines a new entry is the
-        identity, so the pair is marked checked."""
-        tree = self.tree[i]
-        checked = self._checked[i]
-        strong = self.strong[i]
-        queue = list(tree)
-        old, start = len(queue), self._closed[i]
-        self._closed[i] = len(strong)
-        for j, b in enumerate(queue):
-            for k in range(start if j < old else 0, len(strong)):
-                c = strong[k][b]
-                if c not in tree:
-                    tree[c] = (b, k)
-                    checked.add((b, k))
-                    queue.append(c)
-
-    def inverse(self, h: tuple) -> tuple:
-        """The inverse of the strong generator h, computed once."""
-        inv = self._inverses.get(id(h))
-        if inv is None:
-            inv = self._inverses[id(h)] = _inverse(h)
-        return inv
-
-    def transversal(self, i: int, c: int) -> Optional[tuple]:
-        """The pair (u, u^-1) of level i for the orbit point c, or None if
-        c is not in the orbit.  Along the tree path from the nearest point
-        with a pair, each step by g gives u*g and g^-1 * u^-1."""
-        pairs = self._pairs[i]
-        if c in pairs:
-            return pairs[c]
-        tree = self.tree[i]
-        if c not in tree:
-            return None
-        path = []
-        while c not in pairs:
-            path.append(c)
-            c = tree[c][0]
-        u, u_inv = pairs[c]
-        for c in reversed(path):
-            g = self.strong[i][tree[c][1]]
-            u, u_inv = _mul(u, g), _mul(self.inverse(g), u_inv)
-            pairs[c] = (u, u_inv)
-        return u, u_inv
-
-    def sift(self, g: tuple, start: int = 0) -> tuple:
-        """Strip g through the levels from ``start`` on.  Once the chain is
-        complete, the residue is the identity exactly when g lies in
-        G_start."""
-        for i in range(start, len(self.base)):
-            b = self.base[i]
-            c = g[b]
-            if c != b:
-                t = self.transversal(i, c)
-                if t is None:
-                    return g
-                g = _mul(g, t[1])
-        return g
-
-    def _schreier_residue(self, i: int):
-        """The residue of the first Schreier generator of level i that does
-        not sift to the identity through the levels below, or None.  A level
-        whose orbit is one point has only its strong generators as Schreier
-        generators, and they are checked at level i + 1."""
-        tree = self.tree[i]
-        if len(tree) == 1:
-            return None
-        checked = self._checked[i]
-        for b in tree:
-            u = self.transversal(i, b)[0]
-            for k, s in enumerate(self.strong[i]):
-                if (b, k) in checked:
-                    continue
-                h = self.sift(_mul(_mul(u, s), self.transversal(i, s[b])[1]),
-                              i + 1)
-                if h != self.identity:
-                    return h
-                checked.add((b, k))
-        return None
-
-    def complete(self) -> "StabilizerChain":
-        """Add the residue of every Schreier generator that does not sift
-        to the identity as a strong generator, until none is left."""
-        i = len(self.base) - 1
-        while i >= 0:
-            found = self._schreier_residue(i)
-            if found is None:
-                i -= 1
-            else:
-                i = self._add_strong(found, i + 1)
-        return self
-
-    def order(self, start: int = 0) -> int:
-        """The order of G_start: the product of the orbit lengths."""
-        return prod(len(tree) for tree in self.tree[start:])
-
-    def __contains__(self, g: tuple) -> bool:
-        return self.sift(g) == self.identity
-
-    def elements(self, start: int = 0) -> list:
-        """Every element of G_start, once: an element of G_i is an element
-        of G_i+1 followed by one transversal entry of level i.  Only
-        ``GroupByGenerators.elements`` calls this."""
-        out = [self.identity]
-        for i in reversed(range(start, len(self.base))):
-            us = [self.transversal(i, c)[0] for c in self.tree[i]]
-            out = [_mul(h, u) for h in out for u in us]
-        return out
 
 
 class BlockChainLevel:
@@ -391,83 +201,86 @@ class GroupByGenerators:
         return out
 
 
-def block_index(blocks: Sequence, first: int = 0) -> dict:
-    """Point -> the number of its block, the disjoint ``blocks`` numbered
-    in order from ``first``."""
-    return {v: first + j for j, blk in enumerate(blocks) for v in blk}
+def block_index(blocks: Sequence, n: int) -> list:
+    """Each of the points 0..n-1 -> the number of its block among the
+    disjoint ``blocks``, in order, or -1 if it lies in none."""
+    number = [-1] * n
+    for j, blk in enumerate(blocks):
+        for v in blk:
+            number[v] = j
+    return number
 
 
-def _block_image(images: tuple, blocks: Sequence, block_of: dict,
-                 indices: set) -> Optional[tuple]:
-    """The permutation of ``blocks`` by the point images, as a tuple of
-    the ``indices`` that ``block_of`` gives them, or None if the images do
-    not permute the blocks.  They do when each block maps into one block
-    and no two into the same one: each image then fits in its target and
-    the sizes sum alike, so it fills it."""
-    out = tuple(j for blk in blocks for j in {block_of.get(images[v])
-                                              for v in blk})
-    return out if len(out) == len(blocks) and set(out) == indices else None
+def _block_lift(partitions: Sequence, n: int) -> Callable:
+    """The map from the image tuple of a permutation of the n points to
+    its permutation of the blocks of all the ``partitions``, as the list of
+    block numbers, those of each partition numbered on from the last, or to
+    None if it does not permute the blocks of some partition.  Per
+    partition, ``block_index`` numbers each point's block once, and the map
+    pi of block numbers is read at one point of each block.  The images
+    permute the blocks exactly when pi is a bijection and every point's
+    image lies in the block that pi gives its own."""
+    tables = [(block_index(blocks, n), [next(iter(blk)) for blk in blocks])
+              for blocks in partitions]
+
+    def lift(images: tuple) -> Optional[list]:
+        out = []
+        for number, reps in tables:
+            # pi[-1] = -1 takes a point in no block to one in none
+            pi = [number[images[v]] for v in reps] + [-1]
+            if (len(set(pi)) < len(pi)
+                    or [number[y] for y in images] != [pi[j] for j in number]):
+                return None
+            out += [len(out) + j for j in pi[:-1]]
+        return out
+    return lift
+
+
+def _lifted(g: GroupByGenerators, lift: Callable) -> list:
+    """Each generator of g lifted.  Raises BlocksNotInvariantError for the
+    first one that ``lift`` maps to None."""
+    out = [lift(p.images) for p in g.generators]
+    if None in out:
+        raise BlocksNotInvariantError(
+            f"generator {out.index(None)} does not permute the blocks")
+    return out
 
 
 def block_images(g: GroupByGenerators, blocks: Sequence) -> list:
     """Each generator's permutation of the disjoint ``blocks``, as the
     image tuple of block indices.  Raises BlocksNotInvariantError if a
     generator does not permute them."""
-    block_of = block_index(blocks)
-    indices = set(range(len(blocks)))
-    out = []
-    for i, p in enumerate(g.generators):
-        images = _block_image(p.images, blocks, block_of, indices)
-        if images is None:
-            raise BlocksNotInvariantError(
-                f"generator {i} does not permute the blocks")
-        out.append(images)
-    return out
+    return [tuple(pi) for pi in _lifted(g, _block_lift([blocks], g.degree))]
 
 
-def action_kernel(g: GroupByGenerators, *partitions: Sequence) -> list:
+def action_kernel(g: GroupByGenerators, *partitions: Sequence,
+                  pins: Sequence = ()) -> list:
     """The kernels of g's actions on the first 1, 2, ... of the
     ``partitions``, each a sequence of disjoint blocks, from one chain.
 
     Each generator becomes a permutation of the k blocks of all partitions
     and the n points together, blocks first, and the block points open
-    the base in order.  The level after the blocks of the first i
-    partitions is their kernel: its strong generators, restricted to the
-    points, generate it, and it reads order and membership from the
-    levels from there on.  Kernels with only one-point orbits between
-    their levels are equal and are one object.  Level 0 is g itself,
-    which takes it as its chain if it has none: the action on the points
-    is faithful, so |g| is the product of all the transversal sizes.
-    Raises BlocksNotInvariantError if a generator does not permute the
-    blocks of some partition.
+    the base in order.  The ``pins`` follow them: points that only the
+    identity of g fixes all of, which its one caller proves, so that the
+    chain decides its Schreier generators on a few images.  The level
+    after the blocks of the first i partitions is their kernel: its strong
+    generators, restricted to the points, generate it, and it reads order
+    and membership from the levels from there on.  Kernels with only
+    one-point orbits between their levels are equal and are one object.
+    Level 0 is g itself, which takes it as its chain if it has none: the
+    action on the points is faithful, so |g| is the product of all the
+    transversal sizes.  Raises BlocksNotInvariantError if a generator does
+    not permute the blocks of some partition.
     """
-    n = g.degree
-    # per partition: its blocks, block_of and index set, the blocks
-    # numbered on from those of the partitions before it
-    tables = []
-    k = 0
-    for blocks in partitions:
-        tables.append((blocks, block_index(blocks, k),
-                       set(range(k, k + len(blocks)))))
-        k += len(blocks)
+    n, k = g.degree, sum(map(len, partitions))
+    blocks_of = _block_lift(partitions, n)
 
     def lift(images: tuple) -> Optional[tuple]:
-        out = ()
-        for table in tables:
-            part = _block_image(images, *table)
-            if part is None:
-                return None
-            out += part
-        return out + tuple(k + y for y in images)
+        out = blocks_of(images)
+        return None if out is None else (*out, *[k + y for y in images])
 
-    gens = []
-    for i, p in enumerate(g.generators):
-        images = lift(p.images)
-        if images is None:
-            raise BlocksNotInvariantError(
-                f"generator {i} does not permute the blocks")
-        gens.append(images)
-    chain = StabilizerChain(gens, k + n, base=range(k)).complete()
+    chain = StabilizerChain(_lifted(g, lift), k + n, base=range(k),
+                            pins=[k + v for v in pins]).complete()
     if g._chain is None:
         g._chain = BlockChainLevel(chain, 0, k, lift)
     out = []
@@ -477,7 +290,7 @@ def action_kernel(g: GroupByGenerators, *partitions: Sequence) -> list:
         if any(len(t) > 1 for t in chain.tree[level:cut]):
             strong = chain.strong[cut] if cut < len(chain.base) else ()
             group = GroupByGenerators(
-                tuple(Permutation(tuple(y - k for y in s[k:]))
+                tuple(Permutation.unchecked(tuple([y - k for y in s[k:]]))
                       for s in strong), degree=n,
                 _chain=BlockChainLevel(chain, cut, k, lift))
         out.append(group)

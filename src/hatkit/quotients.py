@@ -72,8 +72,8 @@ class QuotientGraph:
 
 
 def quotient_graph(g: Graph, blocks: tuple) -> QuotientGraph:
-    block_of = block_index(blocks)
-    if len(block_of) != g.n:
+    block_of = block_index(blocks, g.n)
+    if -1 in block_of:
         raise ValueError("block system does not partition the vertex set")
     counts: Dict[tuple, int] = {}
     for u, v in g.edges:
@@ -130,6 +130,19 @@ def kernels(group: GroupByGenerators, s: AltStructure) -> dict:
 
     In the degenerate case a = 2r there is one attachment set, so K_A is
     the whole group.
+
+    After the block points the chain's base holds pins, both ends of the
+    first edge of each cycle, and only the identity of G fixes them all:
+
+    - ``certify_hat`` defines D as a G-orbit of arcs, so G preserves D.
+    - Suppose g fixes an arc t -> h of a cycle C.  Then g fixes t's other
+      out-neighbour and h's other in-neighbour.  Both lie on C, which
+      reaches t from the one and leaves h by the other, so walking C arc
+      by arc shows that g fixes C pointwise.
+    - ``_vertex_roles`` checks that every vertex lies on two cycles, so g
+      fixes V.
+
+    So the chain decides its Schreier generators on base images alone.
     """
     tails = [set() for _ in s.cycles]
     for v, role in enumerate(s.roles):
@@ -137,7 +150,8 @@ def kernels(group: GroupByGenerators, s: AltStructure) -> dict:
     partitions = [tails, s.attachment_sets]
     if s.ell % 2:
         partitions.append(construction_b(s))
-    k_alt, k_a, *k_b = action_kernel(group, *partitions)
+    pins = dict.fromkeys(v for cycle in s.cycles for v in cycle[:2])
+    k_alt, k_a, *k_b = action_kernel(group, *partitions, pins=pins)
     if s.attachment == 2 * s.radius:
         k_a = group
     return {"K_alt": k_alt, "K_B": k_b[0] if k_b else k_a, "K_A": k_a}
@@ -213,7 +227,7 @@ def psi_isomorphism(s: AltStructure, blocks: tuple,
         raise PreconditionFailedError(
             f"cycle-level isomorphism needs a < r, got a = {s.attachment}, "
             f"r = {s.radius}")
-    block_of = block_index(blocks)
+    block_of = block_index(blocks, len(s.roles))
     q_sets = {frozenset(c): cid for cid, c in enumerate(quotient_alt.cycles)}
     mapping = {}
     used = set()

@@ -3,8 +3,9 @@ edge check, stabilizer chains, block actions, jump-pair reading,
 splitter-queue refinement, isomorphism search, arc-orbit walk
 and alternating-cycle traversal, and the scanning form of that refinement,
 the per-vertex multiplication lemma check and the certificate comparison
-of the iso-relations suite, kept as their references; and the permutation
-and orientation helpers only the tests use."""
+of the iso-relations suite, kept as their references; the closure of pinned
+vertices; and the permutation and orientation helpers only the tests
+use."""
 
 from collections import deque
 
@@ -277,6 +278,25 @@ def closure(group) -> frozenset:
                 seen.add(q)
                 frontier.append(q)
     return frozenset(map(Permutation, seen))
+
+
+def pinned_closure(og, pins) -> set:
+    """The vertices that an automorphism of the oriented graph ``og``
+    which fixes the ``pins`` must fix: the pins, closed under the rule
+    that an arc t -> h with both ends fixed fixes t's other out-neighbour
+    and h's other in-neighbour."""
+    out, inn = og.out_neighbors, og.in_neighbors
+    fixed, queue = set(pins), list(pins)
+    while queue:
+        v = queue.pop()
+        arcs = [(v, h) for h in out[v]] + [(t, v) for t in inn[v]]
+        for t, h in arcs:
+            if t in fixed and h in fixed:
+                for w in (*out[t], *inn[h]):
+                    if w not in fixed:
+                        fixed.add(w)
+                        queue.append(w)
+    return fixed
 
 
 def setwise_action(s: frozenset, p) -> frozenset:

@@ -6,6 +6,7 @@ from hatkit.errors import BadPermutationError, BlocksNotInvariantError
 from hatkit.perm import (
     GroupByGenerators,
     Permutation,
+    StabilizerChain,
     _mul,
     action_kernel,
     block_images,
@@ -185,14 +186,32 @@ class TestChain:
         assert member in g
         assert (other in g) == oracle.contains(SymPerm(list(other.images)))
 
+    @given(groups_with_candidates(), st.randoms())
+    def test_pinned_chain_matches_sympy(self, case, rnd):
+        """Every point pins any group, so the chain decides its Schreier
+        generators on images alone, in any order of the pins."""
+        g, member, other = case
+        pins = list(range(g.degree))
+        rnd.shuffle(pins)
+        chain = StabilizerChain([p.images for p in g.generators], g.degree,
+                                pins=pins).complete()
+        oracle = sympy_group(g)
+        assert chain.order() == oracle.order()
+        assert member.images in chain
+        assert (other.images in chain) == oracle.contains(
+            SymPerm(list(other.images)))
+
     @given(groups_with_candidates())
     def test_stored_inverses(self, case):
         chain = case[0].chain
         for i, (tree, strong) in enumerate(zip(chain.tree, chain.strong)):
+            _later, points, images = chain.base_images(i)
             for c in tree:
-                u, u_inv = chain.transversal(i, c)
-                assert u[chain.base[i]] == c
-                assert _mul(u, u_inv) == chain.identity
+                u_inv = chain.transversal(i, c)
+                assert u_inv[c] == chain.base[i]
+                assert chain.sift(u_inv, i) == chain.identity
+                u = inverse(Permutation(u_inv)).images
+                assert list(images[c]) == [u[p] for p in points]
             assert all(_mul(s, chain.inverse(s)) == chain.identity
                        for s in strong)
             outside = next((x for x in range(len(chain.identity))

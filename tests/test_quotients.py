@@ -1,5 +1,9 @@
+import sys
+from pathlib import Path
+
 import pytest
 
+from hatkit import quotients
 from hatkit.alternating import AltStructure, analyze
 from hatkit.constructions import (
     XeParams,
@@ -17,11 +21,14 @@ from hatkit.errors import (
     PreconditionFailedError,
     TooFewCyclesError,
 )
+from hatkit.fileio import bundle_from_json
 from hatkit.graphcore import build_graph, certify_hat
+from hatkit.harness import GridConfig, instance_pool
 from hatkit.perm import (
     GroupByGenerators,
     Permutation,
     StructureTag,
+    action_kernel,
     group_structure,
 )
 from hatkit.quotients import (
@@ -35,7 +42,9 @@ from hatkit.quotients import (
     quotient_graph,
     thm_pipeline,
 )
-from oracles import closure
+from oracles import closure, pinned_closure, setwise_action
+
+HATBENCH = Path(__file__).resolve().parents[1] / "hatbench"
 
 
 def analyzed(g, grp):
@@ -155,6 +164,102 @@ class TestKernels:
         g, grp = k4_arc_instance()
         ks = kernels(grp, analyzed(g, grp))
         assert ks["K_alt"].order() == 1
+
+
+def ladder_bundles():
+    """Every bundle the benchmark's analyze-ladder writes, for any seed:
+    each q (and t) at each of its rungs, the wreath rungs and the arc
+    graphs, built by the benchmark's own generators."""
+    sys.path.insert(0, str(HATBENCH))
+    try:
+        import instances as inst
+        import workloads
+    finally:
+        sys.path.remove(str(HATBENCH))
+    out = [(m * r, inst.xo_edges(m, r, q), inst.xo_generators(m, r, q))
+           for m, r in workloads.XO_RUNGS for q in inst.xo_params(m, r)]
+    m, r = workloads.XE_RUNG
+    out += [(m * r, inst.xe_edges(m, r, q, t), inst.xe_generators(m, r, q, t))
+            for q, t in inst.xe_params(m, r)]
+    out += [(2 * n, inst.wreath_edges(n), inst.wreath_generators(n))
+            for n in workloads.WREATH_SIZES]
+    out += [inst.arc_graph(name) for name in inst.CUBIC_SEEDS]
+    return [bundle_from_json(inst.bundle_json(*b)) for b in out]
+
+
+def pinned_kernels(rec, monkeypatch, pinned=True):
+    """The kernels of a fresh copy of rec's group, with ``action_kernel``
+    given the pins that ``kernels`` hands it, or none; and those pins."""
+    seen = []
+
+    def spy(g, *partitions, pins):
+        seen.append(tuple(pins))
+        return action_kernel(g, *partitions, pins=pins if pinned else ())
+    group = GroupByGenerators(rec.group.generators, degree=rec.group.degree)
+    with monkeypatch.context() as m:
+        m.setattr(quotients, "action_kernel", spy)
+        ks = kernels(group, rec.structure)
+    return group, ks, seen[0]
+
+
+def kernel_facts(group, ks) -> tuple:
+    """What a kernel chain decides: the orbit length at every block level,
+    which fixes the order at each cut, |G|, the kernels' orders and
+    structures, and which of them are one object."""
+    level = group._chain
+    return ([len(t) for t in level.chain.tree[:level.k]], group.order(),
+            {name: (k.order(), str(group_structure(k)))
+             for name, k in ks.items()},
+            (ks["K_alt"] is ks["K_B"], ks["K_B"] is ks["K_A"],
+             ks["K_A"] is group))
+
+
+class TestPins:
+    """``kernels`` pins its chain with both ends of the first edge of each
+    alternating cycle."""
+
+    def test_pins_fix_every_vertex(self, monkeypatch):
+        recs = [rec for _key, rec in instance_pool(GridConfig())]
+        recs += [Analysis(g, grp) for g, grp, _params in ladder_bundles()]
+        assert len(recs) == 235 + 31
+        for rec in recs:
+            _group, _ks, pins = pinned_kernels(rec, monkeypatch)
+            assert pins == tuple(dict.fromkeys(
+                v for c in rec.structure.cycles for v in c[:2]))
+            n = rec.graph.n
+            assert pinned_closure(rec.orientation, pins) == set(range(n))
+
+    def test_pinned_kernels_equal_unpinned(self, monkeypatch):
+        for key, rec in instance_pool(GridConfig()):
+            pinned = pinned_kernels(rec, monkeypatch)
+            unpinned = pinned_kernels(rec, monkeypatch, pinned=False)
+            assert pinned[0]._chain.chain.pins
+            assert not unpinned[0]._chain.chain.pins
+            assert (kernel_facts(*pinned[:2])
+                    == kernel_facts(*unpinned[:2])), key
+
+    def test_pinned_swap_is_not_a_member(self, monkeypatch):
+        rec = Analysis(*build_xo(XoParams(4, 9, 1)))
+        group, ks, pins = pinned_kernels(rec, monkeypatch)
+        s = rec.structure
+        # two vertices, no pin, with the same tail cycle and attachment set
+        # (which for even ell is also the half-step block)
+        same = {}
+        for i, aset in enumerate(s.attachment_sets):
+            for v in sorted(aset - set(pins)):
+                same.setdefault((i, s.roles[v][0]), []).append(v)
+        u, w = next(vs for vs in same.values() if len(vs) > 1)[:2]
+        images = list(range(rec.graph.n))
+        images[u], images[w] = w, u
+        swap = Permutation(tuple(images))
+        tails = [frozenset(v for v in range(rec.graph.n)
+                           if s.roles[v][0] == c) for c in range(len(s.cycles))]
+        assert all(swap(v) == v for v in pins)
+        assert all(setwise_action(b, swap) == b
+                   for b in (*tails, *s.attachment_sets, *construction_b(s)))
+        assert group._chain.lift(swap.images) is not None
+        assert swap not in group
+        assert all(swap not in k for k in ks.values())
 
 
 def classified(g, grp):
