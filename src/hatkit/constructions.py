@@ -236,18 +236,12 @@ def special_circulant_k44():
 
 
 def valid_xo_params(m: int, r: int) -> list:
-    """All q giving valid odd-radius parameters for this (m, r)."""
-    out = []
+    """All q giving valid odd-radius parameters for this (m, r), in
+    increasing order: the units q with q^m = +-1 (mod r)."""
     if r < 3 or r % 2 == 0 or m < 3:
-        return out
-    for q in range(1, r):
-        p = XoParams(m, r, q)
-        try:
-            p.validate()
-        except InvalidParamsError:
-            continue
-        out.append(p)
-    return out
+        return []
+    return [XoParams(m, r, q) for q in range(1, r)
+            if gcd(q, r) == 1 and pow(q, m, r) in (1, r - 1)]
 
 
 def valid_xe_params(m: int, r: int) -> list:

@@ -60,6 +60,16 @@ def _g6_decode_size(data: bytes) -> Tuple[int, bytes]:
     return n, data[4:]
 
 
+def _six_bits(body: bytes, fmt: str) -> list:
+    """The bits of a graph6 or sparse6 body, six per byte, high bit first."""
+    bits = []
+    for byte in body:
+        if not 63 <= byte <= 126:
+            raise ParseError(f"invalid {fmt} byte {byte}")
+        bits.extend(((byte - 63) >> k) & 1 for k in range(5, -1, -1))
+    return bits
+
+
 def graph6_decode(s: str) -> Graph:
     s = s.strip()
     if s.startswith(">>graph6<<"):
@@ -71,12 +81,7 @@ def graph6_decode(s: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(rest) < need:
         raise ParseError(f"truncated graph6 body: need {need} bytes, got {len(rest)}")
-    bits = []
-    for byte in rest[:need]:
-        if not 63 <= byte <= 126:
-            raise ParseError(f"invalid graph6 byte {byte}")
-        value = byte - 63
-        bits.extend((value >> k) & 1 for k in range(5, -1, -1))
+    bits = _six_bits(rest[:need], "graph6")
     edges = []
     k = 0
     for v in range(n):
@@ -97,12 +102,7 @@ def sparse6_decode(s: str) -> Graph:
     data = s[1:].encode("ascii")
     n, rest = _g6_decode_size(data)
     k = max(1, (n - 1).bit_length())
-    bits = []
-    for byte in rest:
-        if not 63 <= byte <= 126:
-            raise ParseError(f"invalid sparse6 byte {byte}")
-        value = byte - 63
-        bits.extend((value >> i) & 1 for i in range(5, -1, -1))
+    bits = _six_bits(rest, "sparse6")
     edges = []
     v = 0
     pos = 0

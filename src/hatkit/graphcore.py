@@ -138,8 +138,9 @@ def arc_transitive(graph: Graph, group: GroupByGenerators) -> bool:
 @dataclass(frozen=True)
 class OrientedGraph:
     """A tetravalent graph plus a head choice per edge, held as each
-    vertex's sorted out- and in-neighbours, two of each; ``certify_hat``
-    and ``orientation_from_heads`` build one."""
+    vertex's sorted out- and in-neighbours, two of each.  ``certify_hat``
+    builds one from a group's arc orbit, and ``has_orbit_swapper`` its
+    reverse by swapping the two lists."""
 
     graph: Graph
     out_neighbors: tuple = field(repr=False)
@@ -167,37 +168,9 @@ class OrientedGraph:
         return tuple((t, h) for t, hs in enumerate(self.out_neighbors)
                      for h in hs)
 
-    @cached_property
-    def head_of(self) -> dict:
-        """edge (u<v) -> head vertex"""
-        return {(t, h) if t < h else (h, t): h for t, h in self.arcs}
-
     def is_preserved_by(self, p: Permutation) -> bool:
         return p.degree == self.graph.n and carries(
             p.images, self.arcs, self.out_neighbors)
-
-
-def orientation_from_heads(g: Graph, head_of: dict) -> OrientedGraph:
-    """The orientation with the given head on each edge (u<v), checked to
-    cover every edge of a tetravalent graph exactly once with in- and
-    out-degree 2 everywhere."""
-    if not g.is_regular(4):
-        raise ValueError("oriented graphs must be tetravalent")
-    if head_of.keys() != set(g.edges):
-        raise ValueError("orientation must cover every edge exactly once")
-    out = [[] for _ in range(g.n)]
-    inn = [[] for _ in range(g.n)]
-    for (u, v), h in head_of.items():
-        if h == v:
-            t = u
-        elif h == u:
-            t = v
-        else:
-            raise ValueError(f"head {h} not an endpoint of {(u, v)}")
-        out[t].append(h)
-        inn[h].append(t)
-    return OrientedGraph(g, tuple(map(tuple, map(sorted, out))),
-                         tuple(map(tuple, map(sorted, inn))))
 
 
 def _first_non_automorphism(graph: Graph, group: GroupByGenerators) -> None:

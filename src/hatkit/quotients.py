@@ -99,10 +99,9 @@ def alt_graph(s: AltStructure) -> Graph:
 
 def kernels(group: GroupByGenerators, s: AltStructure) -> dict:
     """The three setwise-fixing kernels, each a kernel on a partition of
-    the vertices: K_alt on the alternating cycles, K_B on the half-step
-    blocks and K_A on the attachment sets, all read from one stabilizer
-    chain.  For even ell the half-step blocks are the attachment sets, so
-    K_A is K_B.
+    the vertices: K_alt on the alternating cycles, K_A on the attachment
+    sets A and K_B on the half-step blocks B, all read from one stabilizer
+    chain on two partitions.
 
     K_alt fixes each cycle's edge set; it is the kernel on the partition
     T of V by tail cycle.  Every vertex is the tail of both its arcs on
@@ -113,20 +112,21 @@ def kernels(group: GroupByGenerators, s: AltStructure) -> dict:
     degenerate case a = 2r the two Hamilton cycles have disjoint tail
     sets, so the partition still tells them apart.
 
-    ``action_kernel`` builds one chain on T, the attachment sets A and,
-    for odd ell, the half-step blocks B, in that order; its levels after
-    T, after T and A and after all three are K_alt, K_alt ∩ K_A and
-    K_alt ∩ K_A ∩ K_B.  Two facts make these the three kernels:
+    ``action_kernel`` builds one chain on T and A, in that order; its
+    levels after T and after T and A are K_alt and K_alt ∩ K_A.  Two facts
+    make the second level both K_B and, for a < 2r, K_A:
 
-    - B refines both T and A: a half-step block is the half of an
-      attachment set whose vertices share their tail cycle.  So K_B
-      fixes every block of T and A, and the last level is K_B.
+    - B = A ∧ T, the meet of the two partitions.  ``construction_b``
+      splits each attachment set into the halves whose vertices share
+      their tail cycle; for even ell every attachment set already lies in
+      one tail set and is a block of B.  An element fixes every block of
+      a meet exactly when it fixes every block of both partitions, so
+      K_B = K_alt ∩ K_A.
     - For a < 2r, K_A ≤ K_alt.  A cycle's vertex set is the union of the
       attachment sets on it.  An element of K_A fixes every attachment
       set and preserves D, so it maps each cycle to a cycle with the same
       vertex set.  Two distinct cycles share at most a < 2r vertices, so
       the element fixes each cycle, and with it each cycle's tail set.
-      So the level after T and A is K_A.
 
     In the degenerate case a = 2r there is one attachment set, so K_A is
     the whole group.
@@ -147,14 +147,10 @@ def kernels(group: GroupByGenerators, s: AltStructure) -> dict:
     tails = [set() for _ in s.cycles]
     for v, role in enumerate(s.roles):
         tails[role[0]].add(v)
-    partitions = [tails, s.attachment_sets]
-    if s.ell % 2:
-        partitions.append(construction_b(s))
     pins = dict.fromkeys(v for cycle in s.cycles for v in cycle[:2])
-    k_alt, k_a, *k_b = action_kernel(group, *partitions, pins=pins)
-    if s.attachment == 2 * s.radius:
-        k_a = group
-    return {"K_alt": k_alt, "K_B": k_b[0] if k_b else k_a, "K_A": k_a}
+    k_alt, k_b = action_kernel(group, tails, s.attachment_sets, pins=pins)
+    k_a = group if s.attachment == 2 * s.radius else k_b
+    return {"K_alt": k_alt, "K_B": k_b, "K_A": k_a}
 
 
 def _is_cyclic_of(tag: StructureTag, k: int) -> bool:
@@ -239,7 +235,7 @@ def psi_isomorphism(s: AltStructure, blocks: tuple,
                  "alternating cycle", "image": sorted(image)})
         mapping[cid] = q_sets[image]
         used.add(q_sets[image])
-    if len(used) != len(quotient_alt.cycles) or len(mapping) != len(s.cycles):
+    if len(used) != len(quotient_alt.cycles):
         raise InconsistentError({"reason": "cycle map is not a bijection"})
     back = {v: k for k, v in mapping.items()}
     moved = {edge_key(mapping[i], mapping[j]) for i, j in s.cycle_pairs}

@@ -19,7 +19,7 @@ from hatkit.errors import (
     NotVertexTransitiveError,
     UnequalCycleLengthsError,
 )
-from hatkit.graphcore import edge_key, orientation_from_heads
+from hatkit.graphcore import OrientedGraph, edge_key
 from hatkit.perm import Permutation
 
 
@@ -39,15 +39,43 @@ def fixed_points(p) -> list:
     return [x for x, y in enumerate(p.images) if x == y]
 
 
+def orientation_from_heads(g, heads: dict):
+    """The orientation with the given head on each edge (u<v), checked to
+    cover every edge of a tetravalent graph exactly once with in- and
+    out-degree 2 everywhere."""
+    if not g.is_regular(4):
+        raise ValueError("oriented graphs must be tetravalent")
+    if heads.keys() != set(g.edges):
+        raise ValueError("orientation must cover every edge exactly once")
+    out = [[] for _ in range(g.n)]
+    inn = [[] for _ in range(g.n)]
+    for (u, v), h in heads.items():
+        if h == v:
+            t = u
+        elif h == u:
+            t = v
+        else:
+            raise ValueError(f"head {h} not an endpoint of {(u, v)}")
+        out[t].append(h)
+        inn[h].append(t)
+    return OrientedGraph(g, tuple(map(tuple, map(sorted, out))),
+                         tuple(map(tuple, map(sorted, inn))))
+
+
+def head_of(og) -> dict:
+    """edge (u<v) -> its head in ``og``."""
+    return {edge_key(t, h): h for t, h in og.arcs}
+
+
 def orientation_from_arcs(g, arcs):
     """The orientation of g with these arcs, one per edge."""
-    head_of = {}
+    heads = {}
     for t, h in arcs:
         key = edge_key(t, h)
-        if key in head_of:
+        if key in heads:
             raise ValueError(f"edge {key} oriented twice")
-        head_of[key] = h
-    return orientation_from_heads(g, head_of)
+        heads[key] = h
+    return orientation_from_heads(g, heads)
 
 
 def is_isomorphism(g1, g2, p) -> bool:
@@ -69,7 +97,7 @@ def arc_act(a: tuple, p) -> tuple:
 
 def arc_set(og) -> set:
     """The arcs (tail, head) of ``og``, read off its head on each edge."""
-    return {(u if h == v else v, h) for (u, v), h in og.head_of.items()}
+    return {(u if h == v else v, h) for (u, v), h in head_of(og).items()}
 
 
 def preserves(og, p) -> bool:
@@ -101,18 +129,18 @@ def certified_heads(graph, group) -> dict:
                 frontier.append(image)
     if len({t for t, _h in orbit}) != graph.n:
         raise NotVertexTransitiveError("group is not transitive on vertices")
-    head_of = {edge_key(t, h): h for t, h in orbit}
-    if len(head_of) != len(graph.edges):
+    heads = {edge_key(t, h): h for t, h in orbit}
+    if len(heads) != len(graph.edges):
         raise NotEdgeTransitiveError("group is not transitive on edges")
     if len(orbit) == 2 * len(graph.edges):
         raise ArcTransitiveError("group acts transitively on arcs")
-    return head_of
+    return heads
 
 
 def reverse_orientation(og):
     """Swap every head and tail; involutive."""
     flipped = {}
-    for (u, v), h in og.head_of.items():
+    for (u, v), h in head_of(og).items():
         flipped[(u, v)] = u if h == v else v
     return orientation_from_heads(og.graph, flipped)
 
@@ -122,11 +150,12 @@ def alternating_cycles(og) -> list:
     ``normalize`` and walked edge by edge through ``head_of`` lookups:
     entering a vertex as the head of an edge, leave through the other edge
     having it as head, and dually for tails."""
+    heads = head_of(og)
     unused = set(og.graph.edges)
     cycles = []
     while unused:
         e0 = min(unused)
-        h0 = og.head_of[e0]
+        h0 = heads[e0]
         t0 = e0[0] if h0 == e0[1] else e0[1]
         cycle = []
         v, e = t0, e0
@@ -137,7 +166,7 @@ def alternating_cycles(og) -> list:
                     f"edge {e} revisited during traversal")
             unused.discard(e)
             w = e[0] if e[1] == v else e[1]
-            if og.head_of[e] == w:
+            if heads[e] == w:
                 candidates = [(x, edge_key(x, w)) for x in og.in_neighbors[w]]
             else:
                 candidates = [(x, edge_key(w, x)) for x in og.out_neighbors[w]]
@@ -165,14 +194,15 @@ def normalize(cycle: tuple) -> tuple:
 def vertex_roles(og, cycles) -> dict:
     """vertex -> (tail cycle, tail position, head cycle, head position),
     read from ``head_of`` at every cycle position."""
+    heads = head_of(og)
     places = {}  # vertex -> [(is head, cid, pos)]
     for cid, cycle in enumerate(cycles):
         length = len(cycle)
         for pos, v in enumerate(cycle):
             prev_v = cycle[pos - 1]
             next_v = cycle[(pos + 1) % length]
-            prev_head = og.head_of[edge_key(prev_v, v)]
-            next_head = og.head_of[edge_key(v, next_v)]
+            prev_head = heads[edge_key(prev_v, v)]
+            next_head = heads[edge_key(v, next_v)]
             if (prev_head == v) != (next_head == v):
                 raise AlternatingStructureError(
                     f"cycle {cid} is not alternating at vertex {v}")
@@ -251,10 +281,11 @@ def mult_lemma(og, s):
     if a == 1:
         return True, None
     length = 2 * s.radius
+    heads = head_of(og)
     for v in range(og.graph.n):
         on = [(c, c.index(v)) for c in s.cycles if v in c]
         (C, tp), (Cp, hp) = sorted(
-            on, key=lambda cp: og.head_of[edge_key(v, cp[0][cp[1] - 1])] == v)
+            on, key=lambda cp: heads[edge_key(v, cp[0][cp[1] - 1])] == v)
         for X, x0, Y, y0, q, which in ((C, tp, Cp, hp, s.q_t, "q_t"),
                                        (Cp, hp, C, tp, s.q_h, "q_h")):
             if not any(all(X[(x0 + i * ell) % length]
@@ -324,7 +355,7 @@ def jump_at(og, cycles, v, ell):
         return 0, 0
     on = [(c, c.index(v)) for c in cycles if v in c]
     (C, tp), (Cp, hp) = sorted(
-        on, key=lambda cp: og.head_of[tuple(sorted((v, cp[0][cp[1] - 1])))]
+        on, key=lambda cp: head_of(og)[tuple(sorted((v, cp[0][cp[1] - 1])))]
         == v)
     length = len(C)
 

@@ -35,17 +35,13 @@ from hatkit.errors import (
     PreconditionFailedError,
     UnequalCycleLengthsError,
 )
-from hatkit.graphcore import (
-    build_graph,
-    certify_hat,
-    edge_key,
-    orientation_from_heads,
-)
+from hatkit.graphcore import build_graph, certify_hat, edge_key
 from hatkit.harness import GridConfig, instance_pool, param_grid
 from hatkit.quotients import kernels
 import oracles
-from oracles import (certified_heads, is_identity, jump_at,
-                     orientation_from_arcs, reverse_orientation)
+from oracles import (certified_heads, head_of, is_identity, jump_at,
+                     orientation_from_arcs, orientation_from_heads,
+                     reverse_orientation)
 from test_harness import SMALL
 
 
@@ -85,17 +81,17 @@ def three_cycles(A, orders):
     """Three alternating cycles: cycle i alternates the double heads
     A[i-1], in the order orders[i], with the double tails A[i], in order;
     None when two cycles share an edge."""
-    head_of = {}
+    edge_heads = {}
     for i in range(3):
         heads = [A[i - 1][j] for j in orders[i]]
         cycle = [v for j in range(len(A[i])) for v in (heads[j], A[i][j])]
         for j, u in enumerate(cycle):
             w = cycle[(j + 1) % len(cycle)]
-            if edge_key(u, w) in head_of:
+            if edge_key(u, w) in edge_heads:
                 return None
-            head_of[edge_key(u, w)] = u if u in heads else w
-    return orientation_from_heads(build_graph(sum(map(len, A)), head_of),
-                                  head_of)
+            edge_heads[edge_key(u, w)] = u if u in heads else w
+    return orientation_from_heads(build_graph(sum(map(len, A)), edge_heads),
+                                  edge_heads)
 
 
 def jump_differs_orientation():
@@ -407,7 +403,7 @@ def unspaced_orientation(rng):
             rng.shuffle(block)
             for k, v in enumerate(block):
                 tail_on[v], head_on[v] = (i, j) if k < 2 else (j, i)
-        head_of = {}
+        edge_heads = {}
         for c in range(3):
             tails = [v for v in range(12) if tail_on[v] == c]
             heads = [v for v in range(12) if head_on[v] == c]
@@ -415,9 +411,10 @@ def unspaced_orientation(rng):
             rng.shuffle(heads)
             for k in range(4):
                 for h in (heads[k], heads[k - 1]):
-                    head_of[edge_key(tails[k], h)] = h
-        if len(head_of) == 24:
-            return orientation_from_heads(build_graph(12, head_of), head_of)
+                    edge_heads[edge_key(tails[k], h)] = h
+        if len(edge_heads) == 24:
+            return orientation_from_heads(build_graph(12, edge_heads),
+                                          edge_heads)
 
 
 def outcome(fn, og):
@@ -447,7 +444,7 @@ class TestPrefixAgainstOracles:
         orientations = [loose_orientation(7)]
         for _key, rec in instance_pool(SMALL):
             og = rec.orientation
-            assert og.head_of == certified_heads(rec.graph, rec.group)
+            assert head_of(og) == certified_heads(rec.graph, rec.group)
             orientations += [og, reverse_orientation(og)]
         for og in orientations:
             assert len(self.check(og)) == 5  # an analysis, not an error
@@ -457,7 +454,7 @@ class TestPrefixAgainstOracles:
     def test_drawn_pool_parameters(self, p, reverse):
         g, grp = (build_xo if isinstance(p, XoParams) else build_xe)(p)
         og = certify_hat(g, grp)
-        assert og.head_of == certified_heads(g, grp)
+        assert head_of(og) == certified_heads(g, grp)
         self.check(reverse_orientation(og) if reverse else og)
 
     @given(st.integers(5, 14), st.integers(0, 2 ** 32 - 1))

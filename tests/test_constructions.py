@@ -70,6 +70,20 @@ class TestParams:
                     scan.append(XeParams(m, r, q, t))
             assert valid_xe_params(m, r) == scan, r
 
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_xo_params_match_the_scan(self, m):
+        """The units with q^m = +-1 against every q that validates, in
+        order."""
+        for r in range(3, 100, 2):
+            scan = []
+            for q in range(1, r):
+                try:
+                    XoParams(m, r, q).validate()
+                except InvalidParamsError:
+                    continue
+                scan.append(XoParams(m, r, q))
+            assert valid_xo_params(m, r) == scan, r
+
 
 class TestBuildFamilies:
     def test_xo_shape(self):

@@ -93,6 +93,13 @@ class TestGraph6:
         with pytest.raises(ParseError):
             graph6_decode("G")  # claims 8 vertices, no body
 
+    @pytest.mark.parametrize("byte", [32, 62, 127])
+    def test_invalid_byte_named(self, byte):
+        s = graph6(build_wreath(4))
+        with pytest.raises(ParseError) as exc:
+            graph6_decode(s[:3] + chr(byte) + s[4:])
+        assert str(exc.value) == f"invalid graph6 byte {byte}"
+
 
 class TestSparse6:
     @given(edge_lists)
@@ -104,6 +111,16 @@ class TestSparse6:
     def test_prefix_required(self):
         with pytest.raises(ParseError):
             sparse6_decode("Bw")
+
+    @pytest.mark.parametrize("byte", [32, 62, 127])
+    def test_invalid_byte_named(self, byte):
+        g = build_wreath(4)
+        s = nx.to_sparse6_bytes(to_nx(g), header=False).decode().strip()
+        bad = s[:3] + chr(byte) + s[4:]
+        for decode in (sparse6_decode, graph6_decode):
+            with pytest.raises(ParseError) as exc:
+                decode(bad)
+            assert str(exc.value) == f"invalid sparse6 byte {byte}"
 
     def test_dispatch_from_graph6_decode(self):
         g = build_wreath(4)

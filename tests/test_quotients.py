@@ -262,6 +262,45 @@ class TestPins:
         assert all(swap not in k for k in ks.values())
 
 
+def tail_sets(s) -> list:
+    """The partition T of the vertices by tail cycle."""
+    return [frozenset(v for v, role in enumerate(s.roles) if role[0] == c)
+            for c in range(len(s.cycles))]
+
+
+class TestHalfStepMeet:
+    """The half-step blocks are the meet A ∧ T of the attachment sets and
+    the tail sets, so ``kernels`` reads K_B off its chain on T and A."""
+
+    def test_construction_b_is_the_meet(self):
+        recs = [rec for _key, rec in instance_pool(GridConfig())]
+        recs += [Analysis(g, grp) for g, grp, _params in ladder_bundles()]
+        assert len(recs) == 235 + 31
+        for rec in recs:
+            s = rec.structure
+            meets = [a & t for a in s.attachment_sets for t in tail_sets(s)]
+            assert construction_b(s) == tuple(
+                sorted(filter(None, meets), key=min)), rec.graph.n
+
+    def test_k_b_matches_the_three_partition_chain(self):
+        """K_B against the last kernel of one chain on T, A and B, with
+        K_A the group when a = 2r."""
+        for key, rec in instance_pool(GridConfig()):
+            s = rec.structure
+            group = GroupByGenerators(rec.group.generators,
+                                      degree=rec.group.degree)
+            pins = dict.fromkeys(v for c in s.cycles for v in c[:2])
+            _k_alt, k_a, k_b = action_kernel(
+                group, tail_sets(s), s.attachment_sets, construction_b(s),
+                pins=pins)
+            if s.attachment == 2 * s.radius:
+                k_a = group
+            got = rec.kernels["K_B"]
+            assert got.order() == k_b.order(), key
+            assert rec.tags["K_B"] == group_structure(k_b), key
+            assert (got is rec.kernels["K_A"]) == (k_b is k_a), key
+
+
 def classified(g, grp):
     """The row of K_alt and K_alt's recognised structure."""
     s = analyzed(g, grp)
