@@ -74,7 +74,7 @@ def graph6_decode(s: str) -> Graph:
     s = s.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
-    if s.startswith(":"):
+    if s.startswith((">>sparse6<<", ":")):
         return sparse6_decode(s)
     data = s.encode("ascii")
     n, rest = _g6_decode_size(data)

@@ -1,7 +1,7 @@
 """Permutations and finite permutation groups given by generators, whose
 order and membership come from the stabilizer chains of ``chain``; and the
-kernels of a group's actions on partitions of its points, read from one
-chain whose base ends with pins, points that only the identity fixes.
+kernel of a group's action on a partition of its points, read from a chain
+whose base ends with pins, points that only the identity fixes.
 
 Action convention (used everywhere in hatkit): permutations act on the
 right, composed left to right.  For a point ``x`` and permutations ``p``,
@@ -211,28 +211,24 @@ def block_index(blocks: Sequence, n: int) -> list:
     return number
 
 
-def _block_lift(partitions: Sequence, n: int) -> Callable:
+def _block_lift(blocks: Sequence, n: int) -> Callable:
     """The map from the image tuple of a permutation of the n points to
-    its permutation of the blocks of all the ``partitions``, as the list of
-    block numbers, those of each partition numbered on from the last, or to
-    None if it does not permute the blocks of some partition.  Per
-    partition, ``block_index`` numbers each point's block once, and the map
-    pi of block numbers is read at one point of each block.  The images
-    permute the blocks exactly when pi is a bijection and every point's
-    image lies in the block that pi gives its own."""
-    tables = [(block_index(blocks, n), [next(iter(blk)) for blk in blocks])
-              for blocks in partitions]
+    its permutation of the ``blocks``, as the list of block numbers, or to
+    None if it does not permute them.  ``block_index`` numbers each point's
+    block once, and the map pi of block numbers is read at one point of
+    each block.  The images permute the blocks exactly when pi is a
+    bijection and every point's image lies in the block that pi gives its
+    own."""
+    number = block_index(blocks, n)
+    reps = [next(iter(blk)) for blk in blocks]
 
     def lift(images: tuple) -> Optional[list]:
-        out = []
-        for number, reps in tables:
-            # pi[-1] = -1 takes a point in no block to one in none
-            pi = [number[images[v]] for v in reps] + [-1]
-            if (len(set(pi)) < len(pi)
-                    or [number[y] for y in images] != [pi[j] for j in number]):
-                return None
-            out += [len(out) + j for j in pi[:-1]]
-        return out
+        # pi[-1] = -1 takes a point in no block to one in none
+        pi = [number[images[v]] for v in reps] + [-1]
+        if (len(set(pi)) < len(pi)
+                or [number[y] for y in images] != [pi[j] for j in number]):
+            return None
+        return pi[:-1]
     return lift
 
 
@@ -250,52 +246,44 @@ def block_images(g: GroupByGenerators, blocks: Sequence) -> list:
     """Each generator's permutation of the disjoint ``blocks``, as the
     image tuple of block indices.  Raises BlocksNotInvariantError if a
     generator does not permute them."""
-    return [tuple(pi) for pi in _lifted(g, _block_lift([blocks], g.degree))]
+    return [tuple(pi) for pi in _lifted(g, _block_lift(blocks, g.degree))]
 
 
-def action_kernel(g: GroupByGenerators, *partitions: Sequence,
-                  pins: Sequence = ()) -> list:
-    """The kernels of g's actions on the first 1, 2, ... of the
-    ``partitions``, each a sequence of disjoint blocks, from one chain.
+def action_kernel(g: GroupByGenerators, blocks: Sequence,
+                  pins: Sequence = ()) -> GroupByGenerators:
+    """The kernel of g's action on the disjoint ``blocks``, from one chain.
 
-    Each generator becomes a permutation of the k blocks of all partitions
-    and the n points together, blocks first, and the block points open
-    the base in order.  The ``pins`` follow them: points that only the
-    identity of g fixes all of, which its one caller proves, so that the
-    chain decides its Schreier generators on a few images.  The level
-    after the blocks of the first i partitions is their kernel: its strong
-    generators, restricted to the points, generate it, and it reads order
-    and membership from the levels from there on.  Kernels with only
-    one-point orbits between their levels are equal and are one object.
-    Level 0 is g itself, which takes it as its chain if it has none: the
-    action on the points is faithful, so |g| is the product of all the
-    transversal sizes.  Raises BlocksNotInvariantError if a generator does
-    not permute the blocks of some partition.
+    Each generator becomes a permutation of the k blocks and the n points
+    together, blocks first, and the block points open the base.  The
+    ``pins`` follow them: points that only the identity of g fixes all
+    of, which its one caller proves, so that the chain decides its
+    Schreier generators on a few images.  Level k, after the blocks, is
+    the kernel: its strong generators, restricted to the points, generate
+    it, and it reads order and membership from the levels from there on.
+    When every block level has one point, g fixes every block and the
+    kernel is g itself.  Level 0 is g, which takes it as its chain if it
+    has none: the action on the points is faithful, so |g| is the product
+    of all the transversal sizes.  Raises BlocksNotInvariantError if a
+    generator does not permute the blocks.
     """
-    n, k = g.degree, sum(map(len, partitions))
-    blocks_of = _block_lift(partitions, n)
+    n, k = g.degree, len(blocks)
+    blocks_of = _block_lift(blocks, n)
 
     def lift(images: tuple) -> Optional[tuple]:
-        out = blocks_of(images)
-        return None if out is None else (*out, *[k + y for y in images])
+        pi = blocks_of(images)
+        return None if pi is None else (*pi, *[k + y for y in images])
 
     chain = StabilizerChain(_lifted(g, lift), k + n, base=range(k),
                             pins=[k + v for v in pins]).complete()
     if g._chain is None:
         g._chain = BlockChainLevel(chain, 0, k, lift)
-    out = []
-    level, group = 0, g
-    for blocks in partitions:
-        cut = level + len(blocks)
-        if any(len(t) > 1 for t in chain.tree[level:cut]):
-            strong = chain.strong[cut] if cut < len(chain.base) else ()
-            group = GroupByGenerators(
-                tuple(Permutation.unchecked(tuple([y - k for y in s[k:]]))
-                      for s in strong), degree=n,
-                _chain=BlockChainLevel(chain, cut, k, lift))
-        out.append(group)
-        level = cut
-    return out
+    if all(len(t) == 1 for t in chain.tree[:k]):
+        return g
+    strong = chain.strong[k] if k < len(chain.base) else ()
+    return GroupByGenerators(
+        tuple(Permutation.unchecked(tuple([y - k for y in s[k:]]))
+              for s in strong), degree=n,
+        _chain=BlockChainLevel(chain, k, k, lift))
 
 
 @dataclass(frozen=True)

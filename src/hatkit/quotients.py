@@ -100,8 +100,8 @@ def alt_graph(s: AltStructure) -> Graph:
 def kernels(group: GroupByGenerators, s: AltStructure) -> dict:
     """The three setwise-fixing kernels, each a kernel on a partition of
     the vertices: K_alt on the alternating cycles, K_A on the attachment
-    sets A and K_B on the half-step blocks B, all read from one stabilizer
-    chain on two partitions.
+    sets A and K_B on the half-step blocks B, all read off one stabilizer
+    chain on the tail partition T.
 
     K_alt fixes each cycle's edge set; it is the kernel on the partition
     T of V by tail cycle.  Every vertex is the tail of both its arcs on
@@ -112,24 +112,28 @@ def kernels(group: GroupByGenerators, s: AltStructure) -> dict:
     degenerate case a = 2r the two Hamilton cycles have disjoint tail
     sets, so the partition still tells them apart.
 
-    ``action_kernel`` builds one chain on T and A, in that order; its
-    levels after T and after T and A are K_alt and K_alt ∩ K_A.  Two facts
-    make the second level both K_B and, for a < 2r, K_A:
+    K_alt fixes T, hence every cycle, A and B:
 
+    - An element that fixes every cycle fixes every cycle's vertex set.
+      Two cycles meet in exactly one attachment set, their intersection,
+      so K_alt ≤ K_A.
     - B = A ∧ T, the meet of the two partitions.  ``construction_b``
       splits each attachment set into the halves whose vertices share
       their tail cycle; for even ell every attachment set already lies in
       one tail set and is a block of B.  An element fixes every block of
       a meet exactly when it fixes every block of both partitions, so
-      K_B = K_alt ∩ K_A.
-    - For a < 2r, K_A ≤ K_alt.  A cycle's vertex set is the union of the
-      attachment sets on it.  An element of K_A fixes every attachment
-      set and preserves D, so it maps each cycle to a cycle with the same
-      vertex set.  Two distinct cycles share at most a < 2r vertices, so
-      the element fixes each cycle, and with it each cycle's tail set.
+      K_B = K_alt ∩ K_A = K_alt.
+    - For a < 2r, K_A ≤ K_alt as well, so K_A = K_alt.  A cycle's vertex
+      set is the union of the attachment sets on it.  An element of K_A
+      fixes every attachment set and preserves D, so it maps each cycle
+      to a cycle with the same vertex set.  Two distinct cycles share at
+      most a < 2r vertices, so the element fixes each cycle, and with it
+      each cycle's tail set.
 
     In the degenerate case a = 2r there is one attachment set, so K_A is
-    the whole group.
+    the whole group.  K_alt ≤ K_A is checked, not assumed: each of K_alt's
+    generators must fix every attachment set under ``block_images``, or
+    InconsistentError is raised.
 
     After the block points the chain's base holds pins, both ends of the
     first edge of each cycle, and only the identity of G fixes them all:
@@ -148,9 +152,12 @@ def kernels(group: GroupByGenerators, s: AltStructure) -> dict:
     for v, role in enumerate(s.roles):
         tails[role[0]].add(v)
     pins = dict.fromkeys(v for cycle in s.cycles for v in cycle[:2])
-    k_alt, k_b = action_kernel(group, tails, s.attachment_sets, pins=pins)
-    k_a = group if s.attachment == 2 * s.radius else k_b
-    return {"K_alt": k_alt, "K_B": k_b, "K_A": k_a}
+    k = action_kernel(group, tails, pins=pins)
+    identity = tuple(range(len(s.attachment_sets)))
+    if any(pi != identity for pi in block_images(k, s.attachment_sets)):
+        raise InconsistentError({"reason": "K_alt moves an attachment set"})
+    return {"K_alt": k, "K_B": k,
+            "K_A": group if s.attachment == 2 * s.radius else k}
 
 
 def _is_cyclic_of(tag: StructureTag, k: int) -> bool:
@@ -341,10 +348,10 @@ class Analysis:
 
     @cached_property
     def kernels_equal(self) -> bool:
-        """The kernels of one chain are nested levels of it, equal exactly
-        when the levels between them have one-point orbits, and then
-        ``action_kernel`` returns one object.  In the degenerate case K_A
-        is the group, which K_B equals only when it is that object too."""
+        """``kernels`` returns K_alt as K_B, and as K_A unless a = 2r.
+        Then K_A is the group, which K_alt equals exactly when it is that
+        object too, since ``action_kernel`` returns g when g fixes every
+        block."""
         ks = self.kernels
         return ks["K_alt"] is ks["K_B"] is ks["K_A"]
 

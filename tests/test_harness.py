@@ -199,6 +199,22 @@ class TestIngest:
         g2, grp = ingest(path)
         assert g2.edges == g.edges
 
+    @pytest.mark.parametrize("suffix, write", [
+        (".s6", nx.to_sparse6_bytes), (".g6", nx.to_graph6_bytes)])
+    def test_headered_file(self, tmp_path, capsys, suffix, write):
+        """A file that opens with its format's ``>>sparse6<<`` or
+        ``>>graph6<<`` header, as networkx writes it, is read by ingest and
+        by the CLI."""
+        c9 = nx.cycle_graph(9)
+        path = tmp_path / f"c9{suffix}"
+        path.write_bytes(write(c9, header=True))
+        want = tuple(sorted(edge_key(u, v) for u, v in c9.edges))
+        g, grp = ingest(path)
+        assert g.edges == want and grp is None
+        assert cli.main(["ingest", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["n"] == 9 and len(doc["edges"]) == 9
+
     def test_bundle_json(self, tmp_path):
         g = build_wreath(4)
         grp = wreath_hat_group(4)

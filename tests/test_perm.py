@@ -130,7 +130,7 @@ class TestGroup:
     def test_action_kernel_on_sets(self):
         g = GroupByGenerators((cyclic_perm(4), reflection_perm(4)))
         blocks = [frozenset({0, 2}), frozenset({1, 3})]
-        (k,) = action_kernel(g, blocks)
+        k = action_kernel(g, blocks)
         assert k.order() == 4
         assert all(setwise_action(b, p) == b for b in blocks
                    for p in closure(k))
@@ -148,26 +148,27 @@ class TestGroup:
         g = GroupByGenerators((cyclic_perm(6), reflection_perm(6)))
         parity = [frozenset({0, 2, 4}), frozenset({1, 3, 5})]
         halves = [frozenset({0, 3}), frozenset({1, 4}), frozenset({2, 5})]
+        meet = [frozenset({v}) for v in range(6)]  # parity ∧ halves
         elems = closure(g)
-        kernels = action_kernel(g, parity, halves)
-        for k, fixed in zip(kernels, (parity, parity + halves)):
+        kernels = [action_kernel(g, blocks) for blocks in (parity, halves,
+                                                           meet)]
+        for k, fixed in zip(kernels, (parity, halves, meet)):
             want = frozenset(p for p in elems
                              if all(setwise_action(b, p) == b for b in fixed))
             assert k.elements() == want and k.order() == len(want)
             assert all((p in k) == (p in want) for p in elems)
-        assert [k.order() for k in kernels] == [6, 1]
-        # g reads its order and membership from the same chain
+        assert [k.order() for k in kernels] == [6, 2, 1]
+        # g reads its order and membership from the first chain
         assert g._chain.chain is kernels[0]._chain.chain
         assert g.order() == 12 and g.elements() == elems
         swap = Permutation((1, 0, 2, 3, 4, 5))
-        assert swap not in g and swap not in kernels[0]
+        assert swap not in g and all(swap not in k for k in kernels)
 
     def test_equal_kernels_are_one_object(self):
         g = GroupByGenerators((cyclic_perm(6), reflection_perm(6)))
         parity = [frozenset({0, 2, 4}), frozenset({1, 3, 5})]
-        whole, k1, k2 = action_kernel(g, [frozenset(range(6))], parity,
-                                      parity)
-        assert whole is g and k2 is k1 and k1 is not g
+        assert action_kernel(g, [frozenset(range(6))]) is g
+        assert action_kernel(g, parity) is not g
 
     def test_block_images_match_setwise_action(self):
         g = GroupByGenerators((cyclic_perm(6), reflection_perm(6)))

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -270,7 +271,8 @@ def tail_sets(s) -> list:
 
 class TestHalfStepMeet:
     """The half-step blocks are the meet A ∧ T of the attachment sets and
-    the tail sets, so ``kernels`` reads K_B off its chain on T and A."""
+    the tail sets, so K_B = K_alt ∩ K_A, which is K_alt: K_alt fixes
+    every attachment set."""
 
     def test_construction_b_is_the_meet(self):
         recs = [rec for _key, rec in instance_pool(GridConfig())]
@@ -282,23 +284,35 @@ class TestHalfStepMeet:
             assert construction_b(s) == tuple(
                 sorted(filter(None, meets), key=min)), rec.graph.n
 
-    def test_k_b_matches_the_three_partition_chain(self):
-        """K_B against the last kernel of one chain on T, A and B, with
-        K_A the group when a = 2r."""
-        for key, rec in instance_pool(GridConfig()):
+    def test_k_b_and_k_a_match_their_own_partitions(self):
+        """K_B against the kernel of a chain on B alone, and for a < 2r
+        K_A against the kernel of a chain on A alone, each on a fresh copy
+        of the group."""
+        pool = list(instance_pool(GridConfig()))
+        pool += [(f"ladder {i}", Analysis(g, grp))
+                 for i, (g, grp, _params) in enumerate(ladder_bundles())]
+        assert len(pool) == 235 + 31
+        for key, rec in pool:
             s = rec.structure
-            group = GroupByGenerators(rec.group.generators,
-                                      degree=rec.group.degree)
             pins = dict.fromkeys(v for c in s.cycles for v in c[:2])
-            _k_alt, k_a, k_b = action_kernel(
-                group, tail_sets(s), s.attachment_sets, construction_b(s),
-                pins=pins)
-            if s.attachment == 2 * s.radius:
-                k_a = group
-            got = rec.kernels["K_B"]
-            assert got.order() == k_b.order(), key
-            assert rec.tags["K_B"] == group_structure(k_b), key
-            assert (got is rec.kernels["K_A"]) == (k_b is k_a), key
+            partitions = {"K_B": construction_b(s)}
+            if s.attachment < 2 * s.radius:
+                partitions["K_A"] = s.attachment_sets
+            for name, blocks in partitions.items():
+                group = GroupByGenerators(rec.group.generators,
+                                          degree=rec.group.degree)
+                want = action_kernel(group, blocks, pins=pins)
+                assert rec.kernels[name].order() == want.order(), key
+                assert rec.tags[name] == group_structure(want), key
+
+    def test_attachment_sets_moved_by_k_alt_raise(self):
+        """Attachment sets regrouped into single vertices, which K_alt
+        permutes but does not fix, fail the check K_alt ≤ K_A."""
+        g, grp = build_xo(XoParams(3, 9, 2))
+        s = analyzed(g, grp)
+        singles = tuple(frozenset({v}) for v in range(g.n))
+        with pytest.raises(InconsistentError):
+            kernels(grp, dataclasses.replace(s, attachment_sets=singles))
 
 
 def classified(g, grp):
