@@ -8,8 +8,9 @@ Usage:
 
 A rung is one hatkit command line: ``aut SPEC`` and ``analyze --aut SPEC``
 on Xo(4,r;1) for growing r and on ``wreath:k`` up to k = 600, ``analyze``
-alone on Xo(4,1001;1), Xo(4,2501;1) and wreath:200, where the kernel
-chain is the largest part of the time, ``iso`` on
+alone on Xo(4,1001;1), Xo(4,2501;1), wreath:200 and wreath:300, where the
+kernel chain is the largest part of the time, ``quotient`` on wreath:300,
+whose antipodal tau test reads the same chain, ``iso`` on
 Xo(4,r;1) against Xo(4,r;r-1), which q -> -q makes isomorphic, ``aut`` on
 a circulant of order 10,000, and ``iso`` on an isomorphic and a
 non-isomorphic pair of them.  Every run is ``python3 -m
@@ -42,6 +43,7 @@ SPECS = ("xo:4,101,1", "xo:4,251,1", "xo:4,501,1", "xo:4,1001,1",
 RUNGS = (*(f"aut {spec}" for spec in SPECS),
          *(f"analyze --aut {spec}" for spec in SPECS),
          "analyze xo:4,1001,1", "analyze xo:4,2501,1", "analyze wreath:200",
+         "quotient wreath:300", "analyze wreath:300",
          *(f"iso xo:4,{r},1 xo:4,{r},{r - 1}" for r in (101, 251, 501, 1001)),
          "aut circ:10000:1,7",
          "iso circ:10000:1,7 circ:10000:1,9993",

@@ -1,10 +1,11 @@
 """Stabilizer chains on image tuples, with the action convention of
 ``perm``: permutations act on the right, composed left to right.
 
-A chain given pins, points that only the identity of its group fixes,
-decides each Schreier generator on the images of the pins and of a few
-base points, with no product of permutations.  ``perm.action_kernel``
-builds such a chain for the kernels of an instance.
+A chain's pins are points that only the identity of its group fixes;
+given none, it pins every point.  It decides each Schreier generator on
+the images of the pins and of a few base points, with no product of
+permutations.  ``perm.action_kernel`` pins the chain of an instance's
+kernels by a few vertices.
 """
 
 from __future__ import annotations
@@ -53,15 +54,19 @@ class StabilizerChain:
     until ``strong[i]`` generates the pointwise stabilizer G_i of
     ``base[:i]``.
 
-    ``pins`` are points that only the identity of the group fixes all of.
-    They let ``complete`` decide a Schreier generator on the images of a
-    few points.  Membership is still a full sift, since a permutation
-    given from outside need not lie in the group the pins pin.
+    ``pins`` are points that only the identity of the group fixes all of,
+    by default every point.  They let ``complete`` decide a Schreier
+    generator on the images of a few points, so only a chain that never
+    runs it, on a base its generators are strong for, takes ``pins=()``.
+    Membership is still a full sift, since a permutation given from
+    outside need not lie in the group the pins pin.
     """
 
     def __init__(self, generators: Iterable[tuple], degree: int,
-                 base: Iterable[int] = (), pins: Sequence[int] = ()):
+                 base: Iterable[int] = (),
+                 pins: Optional[Sequence[int]] = None):
         self.identity = tuple(range(degree))
+        pins = self.identity if pins is None else pins
         self.pins = frozenset(pins)
         self.base = []
         self.strong = []
@@ -194,49 +199,32 @@ class StabilizerChain:
         The Schreier generator of the pair (b, k) is x = u_b * s * u_c^-1,
         with s = ``strong[i][k]`` and c = s(b).  Its images of the later
         base points p (``base_images``) are x(p) = u_c^-1(s(u_b(p))), and
-        each later level strips them by a stored inverse t_j.
-        - With pins, only these images are followed, and no product is
-          made.  The residue x * t_1 ... t_k lies in the group, so it is
-          the identity exactly when it fixes every pin.
-        - Without pins, the images pick the t_j, and x sifts to the
-          identity exactly when s * u_c^-1 * t_1 ... t_k is u_b^-1.
-        A level with one orbit point strips nothing, and what it would
-        check follows from the final test.  Only an x that does not sift
-        to the identity is built in full, and sifted, so the residue is
-        the one a full sift gives."""
+        each later level strips them by a stored inverse t_j.  Only these
+        images are followed, and no product is made.  The residue
+        x * t_1 ... t_k lies in the group, so it is the identity exactly
+        when it fixes every pin.  A level with one orbit point and no pin
+        strips nothing, and what it would check follows from that test.
+        Only an x that does not sift to the identity is built in full, and
+        sifted, so the residue is the one a full sift gives."""
         later, points, images = self.base_images(i)
         checked = self._checked[i]
-        base = self.base
         for b in self.tree[i]:
             for k, s in enumerate(self.strong[i]):
                 if (b, k) in checked:
                     continue
                 u_inv = self.transversal(i, s[b])
-                if self.pins:
-                    x = [u_inv[s[p]] for p in images[b]]
-                    # the scan reads x as each step rewrites it after j
-                    for j in compress(count(), map(ne, x, points)):
-                        t = self.transversal(later[j], x[j])
-                        if t is None:
-                            break
-                        x[j + 1:] = [t[y] for y in x[j + 1:]]
-                    else:
-                        checked.add((b, k))
-                        continue
+                x = [u_inv[s[p]] for p in images[b]]
+                # the scan reads x as each step rewrites it after j
+                for j in compress(count(), map(ne, x, points)):
+                    t = self.transversal(later[j], x[j])
+                    if t is None:
+                        break
+                    x[j + 1:] = [t[y] for y in x[j + 1:]]
                 else:
-                    y = _mul(s, u_inv)
-                    for j, p in zip(later, images[b]):
-                        if y[p] != base[j]:
-                            t = self.transversal(j, y[p])
-                            if t is None:
-                                break
-                            y = _mul(y, t)
-                    else:
-                        if y == self.transversal(i, b):
-                            checked.add((b, k))
-                            continue
+                    checked.add((b, k))
+                    continue
                 u_b = self.transversal(i, b)
-                if b != base[i]:
+                if b != self.base[i]:
                     u_b = _inverse(u_b)
                 return self.sift(_mul(_mul(u_b, s), u_inv), i + 1)
         return None
@@ -265,9 +253,12 @@ class StabilizerChain:
     def elements(self, start: int = 0) -> list:
         """Every element of G_start, once: an element of G_i is one stored
         inverse of level i followed by an element of G_i+1.  Only
-        ``GroupByGenerators.elements`` calls this."""
+        ``GroupByGenerators.elements`` calls this.  A level with one orbit
+        point, such as a pin level of the trivial group, is skipped."""
         out = [self.identity]
         for i in range(start, len(self.base)):
+            if len(self.tree[i]) == 1:
+                continue
             invs = [self.transversal(i, c) for c in self.tree[i]]
             out = [_mul(h, u_inv) for h in out for u_inv in invs]
         return out

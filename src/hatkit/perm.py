@@ -124,7 +124,8 @@ class GroupByGenerators:
     first use, or a level of the chain ``action_kernel`` builds.
 
     ``base``, when given, is a base for which the generators are a strong
-    generating set, so the chain built on it needs no Schreier-Sims run;
+    generating set, so the chain built on it needs no pins and no
+    Schreier-Sims run; without it the chain pins every point;
     ``_order``, when given, is the order, so ``order`` builds no chain."""
 
     generators: tuple
@@ -164,9 +165,12 @@ class GroupByGenerators:
     @property
     def chain(self) -> StabilizerChain | BlockChainLevel:
         if self._chain is None:
-            chain = StabilizerChain((p.images for p in self.generators),
-                                    self.degree, self.base or ())
-            self._chain = chain if self.base is not None else chain.complete()
+            gens = (p.images for p in self.generators)
+            if self.base is None:
+                self._chain = StabilizerChain(gens, self.degree).complete()
+            else:
+                self._chain = StabilizerChain(gens, self.degree, self.base,
+                                              pins=())
         return self._chain
 
     def order(self) -> int:
@@ -257,14 +261,14 @@ def action_kernel(g: GroupByGenerators, blocks: Sequence,
     together, blocks first, and the block points open the base.  The
     ``pins`` follow them: points that only the identity of g fixes all
     of, which its one caller proves, so that the chain decides its
-    Schreier generators on a few images.  Level k, after the blocks, is
-    the kernel: its strong generators, restricted to the points, generate
-    it, and it reads order and membership from the levels from there on.
-    When every block level has one point, g fixes every block and the
-    kernel is g itself.  Level 0 is g, which takes it as its chain if it
-    has none: the action on the points is faithful, so |g| is the product
-    of all the transversal sizes.  Raises BlocksNotInvariantError if a
-    generator does not permute the blocks.
+    Schreier generators on a few images; given none, every point.  Level
+    k, after the blocks, is the kernel: its strong generators, restricted
+    to the points, generate it, and it reads order and membership from
+    the levels from there on.  When every block level has one point, g
+    fixes every block and the kernel is g itself.  Level 0 is g, which
+    takes it as its chain if it has none: the action on the points is
+    faithful, so |g| is the product of all the transversal sizes.  Raises
+    BlocksNotInvariantError if a generator does not permute the blocks.
     """
     n, k = g.degree, len(blocks)
     blocks_of = _block_lift(blocks, n)
@@ -274,15 +278,14 @@ def action_kernel(g: GroupByGenerators, blocks: Sequence,
         return None if pi is None else (*pi, *[k + y for y in images])
 
     chain = StabilizerChain(_lifted(g, lift), k + n, base=range(k),
-                            pins=[k + v for v in pins]).complete()
+                            pins=[k + v for v in pins or range(n)]).complete()
     if g._chain is None:
         g._chain = BlockChainLevel(chain, 0, k, lift)
     if all(len(t) == 1 for t in chain.tree[:k]):
         return g
-    strong = chain.strong[k] if k < len(chain.base) else ()
     return GroupByGenerators(
         tuple(Permutation.unchecked(tuple([y - k for y in s[k:]]))
-              for s in strong), degree=n,
+              for s in chain.strong[k]), degree=n,
         _chain=BlockChainLevel(chain, k, k, lift))
 
 

@@ -278,7 +278,10 @@ def thm_pipeline(rec: Analysis) -> dict:
     extended = False
     if s.radius % 2 == 0 and s.attachment == 2:
         tau = antipodal_tau(rec.orientation, s)
-        if tau is not None and tau not in rec.group:
+        # tau maps each cycle's vertex set onto itself, and two cycles
+        # share at most a = 2 < 2r vertices, so if tau lies in G it fixes
+        # every cycle: tau is in G exactly when it is in K_alt
+        if tau is not None and tau not in rec.kernels["K_alt"]:
             rec = Analysis(rec.graph, GroupByGenerators(
                 rec.group.generators + (tau,), degree=rec.group.degree))
             s = rec.structure

@@ -3,9 +3,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from sympy.combinatorics import Permutation as SymPerm, PermutationGroup
 
 from hatkit import quotients
-from hatkit.alternating import AltStructure, analyze
+from hatkit.alternating import AltStructure, analyze, antipodal_tau
 from hatkit.constructions import (
     XeParams,
     XoParams,
@@ -43,7 +44,7 @@ from hatkit.quotients import (
     quotient_graph,
     thm_pipeline,
 )
-from oracles import closure, pinned_closure, setwise_action
+from oracles import closure, inverse, pinned_closure, setwise_action
 
 HATBENCH = Path(__file__).resolve().parents[1] / "hatbench"
 
@@ -190,7 +191,8 @@ def ladder_bundles():
 
 def pinned_kernels(rec, monkeypatch, pinned=True):
     """The kernels of a fresh copy of rec's group, with ``action_kernel``
-    given the pins that ``kernels`` hands it, or none; and those pins."""
+    given the pins that ``kernels`` hands it, or none, so that it pins
+    every vertex; and the pins ``kernels`` handed it."""
     seen = []
 
     def spy(g, *partitions, pins):
@@ -230,14 +232,18 @@ class TestPins:
             n = rec.graph.n
             assert pinned_closure(rec.orientation, pins) == set(range(n))
 
-    def test_pinned_kernels_equal_unpinned(self, monkeypatch):
+    def test_cycle_pins_equal_every_point_pins(self, monkeypatch):
+        """Given no pins, ``action_kernel`` pins every vertex, and the
+        kernels come out the same."""
         for key, rec in instance_pool(GridConfig()):
             pinned = pinned_kernels(rec, monkeypatch)
-            unpinned = pinned_kernels(rec, monkeypatch, pinned=False)
-            assert pinned[0]._chain.chain.pins
-            assert not unpinned[0]._chain.chain.pins
+            every = pinned_kernels(rec, monkeypatch, pinned=False)
+            k = every[0]._chain.k
+            assert pinned[0]._chain.chain.pins == {k + v for v in pinned[2]}
+            assert every[0]._chain.chain.pins == set(
+                range(k, k + rec.graph.n))
             assert (kernel_facts(*pinned[:2])
-                    == kernel_facts(*unpinned[:2])), key
+                    == kernel_facts(*every[:2])), key
 
     def test_pinned_swap_is_not_a_member(self, monkeypatch):
         rec = Analysis(*build_xo(XoParams(4, 9, 1)))
@@ -423,4 +429,23 @@ class TestPipeline:
     def test_wreath_tight(self):
         g = build_wreath(6)
         report = thm_pipeline(Analysis(g, wreath_hat_group(6)))
+        assert report["outcome"] == "tight"
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_even_swap_subgroup_extended_by_tau(self, k):
+        """H = <rho, s0 * s1>, with s1 = rho^-1 * s0 * rho, swaps an even
+        number of fibers.  The antipodal tau swaps every fiber, so it lies
+        in H exactly when k is even, and the pipeline extends H by it for
+        odd k."""
+        rho, s0 = wreath_hat_group(k).generators
+        h = GroupByGenerators((rho, s0 * inverse(rho) * s0 * rho))
+        rec = Analysis(build_wreath(k), h)
+        report = rec.pipeline
+        tau = antipodal_tau(rec.orientation, rec.structure)
+        oracle = PermutationGroup([SymPerm(list(p.images))
+                                   for p in h.generators])
+        assert h.order() == oracle.order() == k * 2 ** (k - 1)
+        assert (tau in h) == oracle.contains(SymPerm(list(tau.images)))
+        assert (tau in h) == (k % 2 == 0)
+        assert report["extended_by_tau"] == (k % 2 == 1)
         assert report["outcome"] == "tight"
