@@ -1,20 +1,19 @@
 """Stabilizer chains on image tuples, with the action convention of
 ``perm``: permutations act on the right, composed left to right.
 
-A chain's pins are points that only the identity of its group fixes;
-given none, it pins every point.  It decides each Schreier generator on
-the images of the pins and of a few base points, with no product of
-permutations.  ``perm.action_kernel`` pins the chain of an instance's
-kernels by a few vertices.
+A chain is built on a base: points that only the identity of its group
+fixes, by default every point, which the caller proves.  It decides each
+Schreier generator on the images of the later base points, with no
+product of permutations.  ``perm.action_kernel`` builds the chain of an
+instance's kernels on the block points and a few vertices.
 """
 
 from __future__ import annotations
 
-from bisect import bisect, insort
 from itertools import compress, count, islice
 from math import prod
 from operator import itemgetter, ne
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 
 def _mul(p: tuple, q: tuple) -> tuple:
@@ -34,9 +33,9 @@ def _inverse(p: tuple) -> tuple:
 class StabilizerChain:
     """A base and strong generating set on image tuples.
 
-    ``base`` starts with the given points and then the ``pins``; further
-    points are appended as needed, each the least point moved by the
-    generator that needs it.  ``strong[i]`` holds the strong generators
+    ``base`` holds points that only the identity of the group fixes all
+    of, by default every point.  The caller proves that, and the chain
+    adds no point to it.  ``strong[i]`` holds the strong generators
     fixing ``base[:i]``.  ``tree[i]`` is a Schreier tree of the orbit of
     ``base[i]`` under ``strong[i]``: it maps ``base[i]`` to None and each
     other orbit point c to (b, k), c being the image of b under
@@ -52,59 +51,35 @@ class StabilizerChain:
     Otherwise ``complete`` runs the deterministic Schreier-Sims algorithm
     (Sims 1970; Seress, *Permutation Group Algorithms*, 2003, section 4.2)
     until ``strong[i]`` generates the pointwise stabilizer G_i of
-    ``base[:i]``.
-
-    ``pins`` are points that only the identity of the group fixes all of,
-    by default every point.  They let ``complete`` decide a Schreier
-    generator on the images of a few points, so only a chain that never
-    runs it, on a base its generators are strong for, takes ``pins=()``.
+    ``base[:i]``.  Since only the identity fixes the base, it decides a
+    Schreier generator on the images of the later base points.
     Membership is still a full sift, since a permutation given from
-    outside need not lie in the group the pins pin.
+    outside need not lie in the group.
     """
 
     def __init__(self, generators: Iterable[tuple], degree: int,
-                 base: Iterable[int] = (),
-                 pins: Optional[Sequence[int]] = None):
+                 base: Optional[Iterable[int]] = None):
         self.identity = tuple(range(degree))
-        pins = self.identity if pins is None else pins
-        self.pins = frozenset(pins)
-        self.base = []
-        self.strong = []
-        self.tree = []
+        self.base = list(self.identity if base is None else base)
+        self.strong = [[] for _ in self.base]
+        self.tree = [{b: None} for b in self.base]
         self._inverses = {}  # id of a strong generator -> its inverse
-        # the levels with a pin or more than one orbit point, in order
-        self._later = []
         # per level: the u_c^-1 built so far; the (point, strong index)
         # pairs whose Schreier generator sifts to the identity; and the
-        # last ``base_images`` points with their images
-        self._transversal = []
-        self._checked = []
-        self._images = []
-        for b in (*base, *pins):
-            self._add_level(b)
+        # ``base_images`` images
+        self._transversal = [{b: self.identity} for b in self.base]
+        self._checked = [set() for _ in self.base]
+        self._images = [{} for _ in self.base]
         for g in dict.fromkeys(generators):
             if g != self.identity:
                 self._add_strong(g, 0)
 
-    def _add_level(self, b: int) -> None:
-        if b in self.pins:
-            self._later.append(len(self.base))
-        self.base.append(b)
-        self.strong.append([])
-        self.tree.append({b: None})
-        self._transversal.append({b: self.identity})
-        self._checked.append(set())
-        self._images.append((None, None))
-
     def _add_strong(self, h: tuple, first: int) -> int:
         """Add h, which fixes ``base[:first]``, to the levels from ``first``
-        to the first one whose base point it moves; if it fixes the whole
-        base, append its least moved point.  Returns that last level."""
-        last = next((i for i in range(first, len(self.base))
-                     if h[self.base[i]] != self.base[i]), None)
-        if last is None:
-            last = len(self.base)
-            self._add_level(next(x for x, y in enumerate(h) if x != y))
+        to the first one whose base point it moves, which a non-identity
+        element of the group has.  Returns that last level."""
+        last = next(i for i in range(first, len(self.base))
+                    if h[self.base[i]] != self.base[i])
         for level in range(first, last + 1):
             self.strong[level].append(h)
             self._extend(level)
@@ -129,8 +104,6 @@ class StabilizerChain:
                     tree[c] = (b, k)
                     checked.add((b, k))
                     queue.append(c)
-        if old == 1 < len(tree) and self.base[i] not in self.pins:
-            insort(self._later, i)  # the level has just become non-trivial
 
     def inverse(self, h: tuple) -> tuple:
         """The inverse of the strong generator h, computed once."""
@@ -160,15 +133,11 @@ class StabilizerChain:
         return u_inv
 
     def base_images(self, i: int) -> tuple:
-        """The levels after i that have a pin or more than one orbit point,
-        their base points, and each orbit point c of level i -> the images
-        of those points under u_c.  Each image list is read off that of c's
-        tree parent, and kept while the points stay the same."""
-        later = self._later[bisect(self._later, i):]
-        points = [self.base[j] for j in later]
-        if self._images[i][0] != points:
-            self._images[i] = (points, {})
-        images = self._images[i][1]
+        """The later base points ``base[i+1:]``, and each orbit point c of
+        level i -> the images of those points under u_c.  Each image list
+        is read off that of c's tree parent, and kept."""
+        points = self.base[i + 1:]
+        images = self._images[i]
         strong = self.strong[i]
         for c, step in islice(self.tree[i].items(), len(images), None):
             if step is None:
@@ -176,7 +145,7 @@ class StabilizerChain:
             else:
                 g = strong[step[1]]
                 images[c] = [g[p] for p in images[step[0]]]
-        return later, points, images
+        return points, images
 
     def sift(self, g: tuple, start: int = 0) -> tuple:
         """Strip g through the levels from ``start`` on.  Once the chain is
@@ -201,12 +170,11 @@ class StabilizerChain:
         base points p (``base_images``) are x(p) = u_c^-1(s(u_b(p))), and
         each later level strips them by a stored inverse t_j.  Only these
         images are followed, and no product is made.  The residue
-        x * t_1 ... t_k lies in the group, so it is the identity exactly
-        when it fixes every pin.  A level with one orbit point and no pin
-        strips nothing, and what it would check follows from that test.
+        x * t_1 ... t_k lies in the group and fixes ``base[:i+1]``, so it
+        is the identity exactly when it fixes every later base point.
         Only an x that does not sift to the identity is built in full, and
         sifted, so the residue is the one a full sift gives."""
-        later, points, images = self.base_images(i)
+        points, images = self.base_images(i)
         checked = self._checked[i]
         for b in self.tree[i]:
             for k, s in enumerate(self.strong[i]):
@@ -216,7 +184,7 @@ class StabilizerChain:
                 x = [u_inv[s[p]] for p in images[b]]
                 # the scan reads x as each step rewrites it after j
                 for j in compress(count(), map(ne, x, points)):
-                    t = self.transversal(later[j], x[j])
+                    t = self.transversal(i + 1 + j, x[j])
                     if t is None:
                         break
                     x[j + 1:] = [t[y] for y in x[j + 1:]]
@@ -254,7 +222,7 @@ class StabilizerChain:
         """Every element of G_start, once: an element of G_i is one stored
         inverse of level i followed by an element of G_i+1.  Only
         ``GroupByGenerators.elements`` calls this.  A level with one orbit
-        point, such as a pin level of the trivial group, is skipped."""
+        point, such as every level of the trivial group, is skipped."""
         out = [self.identity]
         for i in range(start, len(self.base)):
             if len(self.tree[i]) == 1:

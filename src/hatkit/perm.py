@@ -1,7 +1,7 @@
 """Permutations and finite permutation groups given by generators, whose
 order and membership come from the stabilizer chains of ``chain``; and the
 kernel of a group's action on a partition of its points, read from a chain
-whose base ends with pins, points that only the identity fixes.
+whose base is the blocks followed by points that only the identity fixes.
 
 Action convention (used everywhere in hatkit): permutations act on the
 right, composed left to right.  For a point ``x`` and permutations ``p``,
@@ -124,8 +124,8 @@ class GroupByGenerators:
     first use, or a level of the chain ``action_kernel`` builds.
 
     ``base``, when given, is a base for which the generators are a strong
-    generating set, so the chain built on it needs no pins and no
-    Schreier-Sims run; without it the chain pins every point;
+    generating set, so the chain built on it needs no Schreier-Sims run;
+    without it the chain's base is every point;
     ``_order``, when given, is the order, so ``order`` builds no chain."""
 
     generators: tuple
@@ -165,12 +165,9 @@ class GroupByGenerators:
     @property
     def chain(self) -> StabilizerChain | BlockChainLevel:
         if self._chain is None:
-            gens = (p.images for p in self.generators)
-            if self.base is None:
-                self._chain = StabilizerChain(gens, self.degree).complete()
-            else:
-                self._chain = StabilizerChain(gens, self.degree, self.base,
-                                              pins=())
+            chain = StabilizerChain((p.images for p in self.generators),
+                                    self.degree, self.base)
+            self._chain = chain.complete() if self.base is None else chain
         return self._chain
 
     def order(self) -> int:
@@ -260,15 +257,16 @@ def action_kernel(g: GroupByGenerators, blocks: Sequence,
     Each generator becomes a permutation of the k blocks and the n points
     together, blocks first, and the block points open the base.  The
     ``pins`` follow them: points that only the identity of g fixes all
-    of, which its one caller proves, so that the chain decides its
-    Schreier generators on a few images; given none, every point.  Level
-    k, after the blocks, is the kernel: its strong generators, restricted
-    to the points, generate it, and it reads order and membership from
-    the levels from there on.  When every block level has one point, g
-    fixes every block and the kernel is g itself.  Level 0 is g, which
-    takes it as its chain if it has none: the action on the points is
-    faithful, so |g| is the product of all the transversal sizes.  Raises
-    BlocksNotInvariantError if a generator does not permute the blocks.
+    of, which its one caller proves, so that the base is a base and the
+    chain decides its Schreier generators on a few images; given none,
+    every point.  Level k, after the blocks, is the kernel: its strong
+    generators, restricted to the points, generate it, and it reads order
+    and membership from the levels from there on.  When every block level
+    has one point, g fixes every block and the kernel is g itself.  Level
+    0 is g, which takes it as its chain if it has none: the action on the
+    points is faithful, so |g| is the product of all the transversal
+    sizes.  Raises BlocksNotInvariantError if a generator does not permute
+    the blocks.
     """
     n, k = g.degree, len(blocks)
     blocks_of = _block_lift(blocks, n)
@@ -277,8 +275,8 @@ def action_kernel(g: GroupByGenerators, blocks: Sequence,
         pi = blocks_of(images)
         return None if pi is None else (*pi, *[k + y for y in images])
 
-    chain = StabilizerChain(_lifted(g, lift), k + n, base=range(k),
-                            pins=[k + v for v in pins or range(n)]).complete()
+    chain = StabilizerChain(_lifted(g, lift), k + n, [
+        *range(k), *(k + v for v in pins or range(n))]).complete()
     if g._chain is None:
         g._chain = BlockChainLevel(chain, 0, k, lift)
     if all(len(t) == 1 for t in chain.tree[:k]):

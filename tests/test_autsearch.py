@@ -548,12 +548,18 @@ def small_graphs(draw):
 
 def check_search_chain(g, rng):
     """The chain read off the search against a Schreier-Sims run on the
-    same generators, and its membership against the definition."""
+    same generators, its membership against the definition, and the
+    search's first path as a base: Schreier-Sims on it adds no strong
+    generator, which is why ``GroupByGenerators.chain`` skips it."""
     aut = automorphism_group(g)
     images = [p.images for p in aut.generators]
     fresh = StabilizerChain(images, g.n).complete()
     assert aut.chain.base == list(aut.base)
     assert aut.order() == fresh.order()
+    on_base = StabilizerChain(images, g.n, aut.base)
+    strong = [list(s) for s in on_base.strong]
+    assert on_base.complete().strong == strong
+    assert on_base.order() == aut.order()
     for _ in range(10):
         p = list(range(g.n))
         for _ in range(rng.randint(0, 4) if images else 0):

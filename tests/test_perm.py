@@ -189,13 +189,13 @@ class TestChain:
 
     @given(groups_with_candidates(), st.randoms())
     def test_pinned_chain_matches_sympy(self, case, rnd):
-        """Every point pins any group, so the chain decides its Schreier
-        generators on images alone, in any order of the pins."""
+        """Every point is a base of any group, so the chain decides its
+        Schreier generators on images alone, in any order of the points."""
         g, member, other = case
-        pins = list(range(g.degree))
-        rnd.shuffle(pins)
+        base = list(range(g.degree))
+        rnd.shuffle(base)
         chain = StabilizerChain([p.images for p in g.generators], g.degree,
-                                pins=pins).complete()
+                                base).complete()
         oracle = sympy_group(g)
         assert chain.order() == oracle.order()
         assert member.images in chain
@@ -206,7 +206,8 @@ class TestChain:
     def test_stored_inverses(self, case):
         chain = case[0].chain
         for i, (tree, strong) in enumerate(zip(chain.tree, chain.strong)):
-            _later, points, images = chain.base_images(i)
+            points, images = chain.base_images(i)
+            assert points == chain.base[i + 1:]
             for c in tree:
                 u_inv = chain.transversal(i, c)
                 assert u_inv[c] == chain.base[i]

@@ -120,3 +120,18 @@ def test_scale_ladder_tiny_rung(tmp_path):
     assert all(run["side"] == "change" and run["exit"] == 0
                and run["seconds"] > 0 and run["peak_rss_mb"] > 0
                for run in runs)
+
+
+def test_scale_ladder_parent_side_and_timeout(tmp_path):
+    ladder = load("scale_ladder")
+    out = tmp_path / "ladder.json"
+    ladder.main(["--rungs", "kernels wreath:8", "--parent",
+                 str(SCRIPTS.parent), "-o", str(out)])
+    doc = json.loads(out.read_text())
+    assert {"host", "scale ladder"} <= set(doc)
+    runs = doc["scale ladder"]["runs"]
+    assert [run["side"] for run in runs] == ["parent", "change"]
+    assert all(run["argv"] == ["kernels", "wreath:8"] and run["exit"] == 0
+               for run in runs)
+    # the interpreter alone takes longer to start than this timeout
+    assert ladder.run_once(["kernels", "wreath:8"], 0.01)["exit"] is None
