@@ -8,10 +8,14 @@ carries edges into the adjacency, or arcs into the out-neighbours.
 Refinement splits cells against a queue of splitter cells (Hopcroft 1971;
 McKay 1981), moving only the vertices a splitter hits, so that a split
 costs time in those vertices, not in the size of the cell (McKay &
-Piperno, section 3).  Deterministic choices throughout: the target cell
-is the first smallest non-singleton cell, branching tries vertices in
-increasing order, and the canonical certificate is the lexicographically
-least relabeled edge tuple over all search leaves.
+Piperno, section 3).  It counts hits in one n-long list and marks queued
+cells in one n-long byte array, both kept by the search and cleared as
+they are read, and holds its queue as a flat list with a head index, so a
+splitter builds no count or queue container of its own.  Deterministic
+choices throughout: the target cell is the first smallest non-singleton
+cell, branching tries vertices in increasing order, and the canonical
+certificate is the lexicographically least relabeled edge tuple over all
+search leaves.
 
 The search is depth-first on an explicit stack, one frame per node of the
 current path, so no depth reaches Python's recursion limit.  The first
@@ -66,9 +70,7 @@ search by returning true from its leaf handler, which empties the stack.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import Callable, Optional, Tuple
 
 from .errors import InconsistentError, SearchBudgetExceededError
@@ -109,7 +111,7 @@ class _Frame:
     in increasing order with the index of the next branch, the vertex of
     the branch being searched, and the automorphisms found so far that fix
     its prefix, each an (images, moved points) pair, with the union-find
-    of their orbits joined with the branches tried.
+    of their orbits joined with the branches tried and its class sizes.
 
     A frame's first branch needs no automorphism, and most frames off the
     first path never get past it, so the list is filtered from the
@@ -119,7 +121,7 @@ class _Frame:
     """
 
     __slots__ = ("lab", "length", "start_of", "cell", "next", "vertex",
-                 "parent", "auts", "added", "orbit")
+                 "parent", "auts", "added", "orbit", "sizes")
 
     def __init__(self, lab, length, start_of, target, parent, auts=None):
         self.lab, self.length, self.start_of = lab, length, start_of
@@ -130,6 +132,7 @@ class _Frame:
         self.auts = auts
         self.added = 0
         self.orbit = {}
+        self.sizes = {}
 
     def inherit(self):
         """Fill ``auts`` here and in every ancestor that has none, from the
@@ -149,7 +152,10 @@ class _Frame:
         branch tried, or None.  The automorphisms fix the refined
         partition, so they map the target cell onto itself, and joining
         each cell point or each moved point, whichever are fewer, with its
-        image gives their orbits on it."""
+        image gives their orbits on it.  The union-find keeps the size of
+        each class at its root, so once the class of the first branch
+        covers the cell, as it does on a vertex-transitive graph, no point
+        is left to try and no point is looked up."""
         cell, first = self.cell, self.cell[0]
         if self.next == 0:
             self.next = 1
@@ -157,22 +163,24 @@ class _Frame:
             return first
         if self.auts is None:
             self.inherit()
-        orbit = self.orbit
+        orbit, sizes = self.orbit, self.sizes
         for images, moved in self.auts[self.added:]:
             for x in moved if len(moved) < len(cell) else cell:
                 a, b = _find(orbit, x), _find(orbit, images[x])
                 if a != b:
                     orbit[a] = b
+                    sizes[b] = sizes.get(b, 1) + sizes.pop(a, 1)
         self.added = len(self.auts)
-        while self.next < len(cell):
+        root = _find(orbit, first)
+        while self.next < len(cell) and sizes.get(root, 1) < len(cell):
             v = cell[self.next]
             self.next += 1
-            a, b = _find(orbit, v), _find(orbit, first)
-            if a == b:
-                continue  # the image of a tried branch
-            orbit[a] = b
-            self.vertex = v
-            return v
+            a = _find(orbit, v)
+            if a != root:  # else the image of a tried branch
+                orbit[a] = root
+                sizes[root] = sizes.get(root, 1) + sizes.pop(a, 1)
+                self.vertex = v
+                return v
         return None
 
 
@@ -202,6 +210,8 @@ class _Search:
         self.nodes = 0
         self.identity = tuple(range(self.n))
         self.pos = [0] * self.n
+        self.count = [0] * self.n  # refine's neighbour counts, 0 between pops
+        self.queued = bytearray(self.n)  # refine's queued flags, by start
         self.auts: list = []  # (images, moved points) of each automorphism
         self.proved = set()  # indices in auts of the maps a leaf check proved
         self.base: Optional[tuple] = None  # the first path
@@ -246,14 +256,26 @@ class _Search:
         the hit vertices to the end of the cell, so it costs time in them,
         not in the cell's size; the missed ones keep their places and
         ``start_of``.  Returns the starts of the cells split.
+
+        The queue is a list read from a head index, with ``self.queued``
+        flagging the starts in it.  A larger splitter counts its hits in
+        ``self.count`` in one pass over its neighbours, which also groups
+        the hit vertices by cell, skipping singleton cells.  A cell that
+        every hit vertex fills with equal counts is equitable against it
+        and is dismissed unsorted; a cell that splits is sorted once by
+        count and cut into fragments along that order.  Both clear the
+        counts they read, so ``self.count`` is all zeros between pops.
         """
-        rels = self.rels
-        queue = deque(queue)
-        queued = set(queue)
+        rels, count, queued = self.rels, self.count, self.queued
+        queue = list(queue)
+        for s in queue:
+            queued[s] = 1
         split = []
-        while queue:
-            s = queue.popleft()
-            queued.discard(s)
+        head = 0
+        while head < len(queue):
+            s = queue[head]
+            head += 1
+            queued[s] = 0
             size = length[s]
             if size == 1:  # hits each neighbour once: one fragment per cell
                 w = lab[s]
@@ -266,7 +288,7 @@ class _Search:
                                 touched[c].append(v)
                             else:
                                 touched[c] = [v]
-                    for c in sorted(touched):
+                    for c in sorted(touched) if len(touched) > 1 else touched:
                         hit = touched[c]
                         back = c + length[c] - len(hit)
                         if back == c:
@@ -279,54 +301,64 @@ class _Search:
                             start_of[v] = back
                         length[c] = back - c
                         length[back] = len(hit)
-                        t = back if c in queued or back - c >= len(hit) else c
+                        t = back if queued[c] or back - c >= len(hit) else c
                         queue.append(t)
-                        queued.add(t)
+                        queued[t] = 1
                 continue
             splitter = lab[s:s + size]
             for adj in rels:
-                count = {}
+                touched = {}  # cell -> its hit vertices, in first-hit order
                 for w in splitter:
                     for v in adj[w]:
-                        count[v] = count.get(v, 0) + 1
-                touched = {}
-                for v in count:
-                    c = start_of[v]
-                    if length[c] > 1:
-                        if c in touched:
-                            touched[c].append(v)
-                        else:
-                            touched[c] = [v]
-                for c in sorted(touched):
+                        c = start_of[v]
+                        if length[c] > 1:
+                            k = count[v]
+                            if not k:
+                                if c in touched:
+                                    touched[c].append(v)
+                                else:
+                                    touched[c] = [v]
+                            count[v] = k + 1
+                for c in sorted(touched) if len(touched) > 1 else touched:
                     hit = touched[c]
-                    back = c + length[c] - len(hit)
+                    end = c + length[c]
+                    back = end - len(hit)
+                    if back == c:
+                        k = count[hit[0]]
+                        for v in hit:
+                            if count[v] != k:
+                                break
+                        else:  # equitable: every vertex hit k times
+                            for v in hit:
+                                count[v] = 0
+                            continue
                     hit.sort(key=count.__getitem__)
-                    if back == c and count[hit[0]] == count[hit[-1]]:
-                        continue
-                    fragments = [list(f) for _k, f in
-                                 groupby(hit, count.__getitem__)]
                     split.append(c)
+                    first = len(queue)
+                    queue.append(c)  # the count-0 fragment, or the least
+                    largest, most = c, back - c
+                    if back != c:
+                        length[c] = back - c
+                        queue.append(back)
+                    f, k = back, count[hit[0]]
                     for q, v in enumerate(hit, back):
+                        if count[v] != k:  # a fragment ends before q
+                            length[f] = q - f
+                            if q - f > most:
+                                largest, most = f, q - f
+                            queue.append(q)
+                            f, k = q, count[v]
+                        count[v] = 0
                         u, p = lab[q], pos[v]
                         lab[p], pos[u] = u, p
                         lab[q], pos[v] = v, q
-                    starts = []
-                    if back != c:  # the count-0 fragment
-                        length[c] = back - c
-                        starts.append(c)
-                    for fragment in fragments:
-                        length[back] = len(fragment)
-                        if back != c:
-                            for v in fragment:
-                                start_of[v] = back
-                        starts.append(back)
-                        back += len(fragment)
-                    if c in queued:
-                        del starts[0]
-                    else:
-                        starts.remove(max(starts, key=length.__getitem__))
-                    queue.extend(starts)
-                    queued.update(starts)
+                        start_of[v] = f
+                    length[f] = end - f
+                    if end - f > most:
+                        largest = f
+                    del queue[queue.index(c if queued[c] else largest, first)]
+                    for t in queue[first:]:
+                        queued[t] = 1
         return split
 
     # -- search --------------------------------------------------------------
@@ -372,7 +404,8 @@ class _Search:
             if size > 1:
                 if target is None or size < length[target]:
                     target = c
-                widest = max(widest, size)
+                if size > widest:
+                    widest = size
             c += size
         if widest <= 2:
             path = self._descend(stack, lab, length, start_of, pos)

@@ -90,10 +90,13 @@ def parse_instance(spec: str):
     raise ParseError(f"unrecognized instance specifier {spec!r}")
 
 
-def _json_chunks(obj, indent=""):
+def _json_chunks(obj, digits, indent=""):
     """Yield ``obj`` as ``json.JSONEncoder(indent=2, sort_keys=True)``
     writes it, with a list of plain ints (not bools) in one chunk made by
-    one ``join``."""
+    one ``join``.  ``digits[i]`` is ``str(i)``: a list of ints in
+    ``range(len(digits))`` reads them from it, and a list of ints in
+    ``range(len(list))``, such as a permutation's images, first extends
+    it, so the table never holds more strings than the lists it spells."""
     if isinstance(obj, dict):
         if not obj:
             yield "{}"
@@ -107,7 +110,7 @@ def _json_chunks(obj, indent=""):
                                     f"None, not {type(key).__name__}")
                 key = json.dumps(key)
             yield sep + encode_basestring_ascii(key) + ": "
-            yield from _json_chunks(value, inner)
+            yield from _json_chunks(value, digits, inner)
             sep = ",\n" + inner
         yield "\n" + indent + "}"
     elif isinstance(obj, (list, tuple)):
@@ -116,13 +119,19 @@ def _json_chunks(obj, indent=""):
             return
         inner = indent + "  "
         if all(type(x) is int for x in obj):
-            yield ("[\n" + inner + (",\n" + inner).join(map(str, obj))
+            top = max(obj)
+            if min(obj) >= 0 and top < max(len(digits), len(obj)):
+                digits.extend(map(str, range(len(digits), top + 1)))
+                text = map(digits.__getitem__, obj)
+            else:
+                text = map(str, obj)
+            yield ("[\n" + inner + (",\n" + inner).join(text)
                    + "\n" + indent + "]")
             return
         sep = "[\n" + inner
         for item in obj:
             yield sep
-            yield from _json_chunks(item, inner)
+            yield from _json_chunks(item, digits, inner)
             sep = ",\n" + inner
         yield "\n" + indent + "]"
     elif isinstance(obj, str):
@@ -135,7 +144,7 @@ def _json_chunks(obj, indent=""):
 
 def _write_json(doc, stream):
     """Write ``doc`` as indented JSON, chunk by chunk."""
-    stream.writelines(_json_chunks(doc))
+    stream.writelines(_json_chunks(doc, []))
 
 
 def _emit(doc, args):

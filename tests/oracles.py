@@ -1,13 +1,14 @@
 """Oracles shared by the tests, written independently of the library's
 edge check, stabilizer chains, block actions, jump-pair reading,
 splitter-queue refinement, isomorphism search, arc-orbit walk
-and alternating-cycle traversal, and the scanning form of that refinement,
-the per-vertex multiplication lemma check and the certificate comparison
-of the iso-relations suite, kept as their references; the closure of pinned
-vertices; and the permutation and orientation helpers only the tests
-use."""
+and alternating-cycle traversal, and the scanning and container-building
+forms of that refinement, the per-vertex multiplication lemma check and
+the certificate comparison of the iso-relations suite, kept as their
+references; the closure of pinned vertices; and the permutation and
+orientation helpers only the tests use."""
 
 from collections import deque
+from itertools import groupby
 
 from hatkit.autsearch import canonical_form
 from hatkit.constructions import XoParams, build_xo, valid_xo_params
@@ -417,6 +418,94 @@ def scanning_refine(adj, lab, length, start_of, queue):
                 fragments.remove(max(fragments, key=length.__getitem__))
             queue.extend(fragments)
             queued.update(fragments)
+    return split
+
+
+def ordered_refine(rels, lab, length, start_of, pos, queue):
+    """The splitter-queue refinement of ``autsearch`` as it was while it
+    built a count dict, a touched dict, hit lists and ``groupby`` fragments
+    for every splitter, with a ``deque`` and a set for its queue: the
+    ordered reference.  Splits ``lab``, ``length``, ``start_of`` and
+    ``pos`` in place and returns the starts of the cells split."""
+    queue = deque(queue)
+    queued = set(queue)
+    split = []
+    while queue:
+        s = queue.popleft()
+        queued.discard(s)
+        size = length[s]
+        if size == 1:  # hits each neighbour once: one fragment per cell
+            w = lab[s]
+            for adj in rels:
+                touched = {}
+                for v in adj[w]:
+                    c = start_of[v]
+                    if length[c] > 1:
+                        if c in touched:
+                            touched[c].append(v)
+                        else:
+                            touched[c] = [v]
+                for c in sorted(touched):
+                    hit = touched[c]
+                    back = c + length[c] - len(hit)
+                    if back == c:
+                        continue
+                    split.append(c)
+                    for q, v in enumerate(hit, back):
+                        u, p = lab[q], pos[v]
+                        lab[p], pos[u] = u, p
+                        lab[q], pos[v] = v, q
+                        start_of[v] = back
+                    length[c] = back - c
+                    length[back] = len(hit)
+                    t = back if c in queued or back - c >= len(hit) else c
+                    queue.append(t)
+                    queued.add(t)
+            continue
+        splitter = lab[s:s + size]
+        for adj in rels:
+            count = {}
+            for w in splitter:
+                for v in adj[w]:
+                    count[v] = count.get(v, 0) + 1
+            touched = {}
+            for v in count:
+                c = start_of[v]
+                if length[c] > 1:
+                    if c in touched:
+                        touched[c].append(v)
+                    else:
+                        touched[c] = [v]
+            for c in sorted(touched):
+                hit = touched[c]
+                back = c + length[c] - len(hit)
+                hit.sort(key=count.__getitem__)
+                if back == c and count[hit[0]] == count[hit[-1]]:
+                    continue
+                fragments = [list(f) for _k, f in
+                             groupby(hit, count.__getitem__)]
+                split.append(c)
+                for q, v in enumerate(hit, back):
+                    u, p = lab[q], pos[v]
+                    lab[p], pos[u] = u, p
+                    lab[q], pos[v] = v, q
+                starts = []
+                if back != c:  # the count-0 fragment
+                    length[c] = back - c
+                    starts.append(c)
+                for fragment in fragments:
+                    length[back] = len(fragment)
+                    if back != c:
+                        for v in fragment:
+                            start_of[v] = back
+                    starts.append(back)
+                    back += len(fragment)
+                if c in queued:
+                    del starts[0]
+                else:
+                    starts.remove(max(starts, key=length.__getitem__))
+                queue.extend(starts)
+                queued.update(starts)
     return split
 
 

@@ -37,8 +37,8 @@ from hatkit.graphcore import (
 from hatkit.harness import instance_pool
 from hatkit.perm import GroupByGenerators, Permutation, StabilizerChain
 from oracles import (arc_act, arc_set, closure, is_isomorphism,
-                     orbit_swapper, orientation_from_arcs, preserves, refine,
-                     reverse_orientation, scanning_refine)
+                     orbit_swapper, ordered_refine, orientation_from_arcs,
+                     preserves, refine, reverse_orientation, scanning_refine)
 from oracles import is_automorphism as automorphism_by_definition
 from test_harness import SMALL
 
@@ -128,28 +128,56 @@ def cells_of(lab, length):
     return out
 
 
-def refined_against_references(s, lab, length, start_of, queue):
+def same_as_ordered_reference(s, lab, length, start_of, queue):
     """Refine the partition in place, with ``pos`` filled from ``lab``, and
-    check it against the full-round oracle, which must give the same set
-    partition, equitable for every relation; ``pos`` must stay the
-    inverse of ``lab``.  For a graph, the scanning reference must also
-    give the same ordered cells, ``length``, ``start_of`` and split
-    cells."""
-    given = list(cells_of(lab, length).values())
+    check it against the ordered reference run on a copy: the same
+    ``length``, ``start_of``, cell at each start and split cells, with
+    ``pos`` the inverse of ``lab``.  Returns the split cells."""
     ref = lab[:], length[:], start_of[:]
     pos = [0] * s.n
     for i, v in enumerate(lab):
         pos[v] = i
+    ref_pos = pos[:]
     split = s.refine(lab, length, start_of, pos, queue)
+    assert split == ordered_refine(s.rels, *ref, ref_pos, queue)
+    assert (length, start_of) == (ref[1], ref[2])
+    assert cells_of(lab, length) == cells_of(ref[0], ref[1])
+    assert all(lab[pos[v]] == v for v in range(s.n))
+    return split
+
+
+def refined_against_references(s, lab, length, start_of, queue):
+    """Refine the partition in place against the ordered reference, and
+    check it against the full-round oracle, which must give the same set
+    partition, equitable for every relation.  For a graph, the scanning
+    reference must also give the same ordered cells, ``length``,
+    ``start_of`` and split cells."""
+    given = list(cells_of(lab, length).values())
+    ref = lab[:], length[:], start_of[:]
+    split = same_as_ordered_reference(s, lab, length, start_of, queue)
     cells = cells_of(lab, length)
     if len(s.rels) == 1:
         assert split == scanning_refine(s.adj, *ref, queue)
         assert cells == cells_of(ref[0], ref[1])
         assert (length, start_of) == (ref[1], ref[2])
-    assert all(lab[pos[v]] == v for v in range(s.n))
     assert set(cells.values()) == set(
         map(frozenset, refine(s.rels, given)))
     assert all(v in cells[start_of[v]] for v in range(s.n))
+
+
+def first_path(s, lab, length, start_of, check):
+    """From a refined partition, individualise the least vertex of the
+    first smallest non-singleton cell and ``check`` the child, down to a
+    discrete partition."""
+    while True:
+        starts = [c for c in cells_of(lab, length) if length[c] > 1]
+        if not starts:
+            return
+        target = min(starts, key=length.__getitem__)
+        v = min(lab[target:target + length[target]])
+        lab, length, start_of, queue = s.individualized(lab, length,
+                                                        start_of, v)
+        check(s, lab, length, start_of, queue)
 
 
 def check_refine(g):
@@ -165,15 +193,7 @@ def check_refine(g):
         if length[start_of[v]] > 1:
             refined_against_references(
                 s, *s.individualized(lab, length, start_of, v))
-    while True:
-        starts = [c for c in cells_of(lab, length) if length[c] > 1]
-        if not starts:
-            return
-        target = min(starts, key=length.__getitem__)
-        v = min(lab[target:target + length[target]])
-        lab, length, start_of, queue = s.individualized(lab, length,
-                                                        start_of, v)
-        refined_against_references(s, lab, length, start_of, queue)
+    first_path(s, lab, length, start_of, refined_against_references)
 
 
 class TestRefinementOracle:
@@ -201,6 +221,21 @@ class TestRefinementOracle:
         og = random_orientation(n, seed)
         assume(og is not None)
         check_refine(og)
+
+
+class TestOrderedRefinement:
+    def test_symmetry_spec_first_paths(self):
+        """On the first path of every ``aut`` graph of the symmetry
+        benchmark, n up to 404, each refinement matches the ordered
+        reference."""
+        reference = json.loads(SYMMETRY_REFERENCE.read_text())["aut"]
+        specs = [spec for table in reference.values() for spec in table]
+        assert len(specs) == 28
+        for spec in specs:
+            s = _Search(cli.parse_instance(spec)[0], budget=0)
+            lab, length, start_of, queue = s.unit()
+            same_as_ordered_reference(s, lab, length, start_of, queue)
+            first_path(s, lab, length, start_of, same_as_ordered_reference)
 
 
 class TestLargerRelabeling:

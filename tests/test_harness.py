@@ -620,6 +620,7 @@ class TestCli:
         {"a": [1, {"b": []}], "c": None, "d": 1.5, "e": "x\u00e9\""},
         {2: [1], 10: []}, {True: 0, False: 1}, {None: 1}, {2.5: [2]},
         [float("nan"), float("inf"), -0.0], 7, "s", None, False,
+        [[2, 0, 1], [3, 1, 0, 2], [3], [0, 5], [2, -3], [1, 2 ** 70]],
     ]
 
     def test_json_writer_matches_the_encoder(self, tmp_path, monkeypatch,
